@@ -1,5 +1,6 @@
 """Cross-codec round-trip, ratio-ordering and block-format tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,12 @@ from repro.core.blockformat import (
 from repro.core.deflate import DeflateCodec
 from repro.core.dpzip_codec import DpzipCodec, reference_roundtrip
 from repro.core.lz4 import Lz4Codec
-from repro.core.matchers import ChainMatcher, config_for_level
+from repro.core.matchers import (
+    LEVEL_PRESETS,
+    ChainMatcher,
+    ChainMatcherConfig,
+    config_for_level,
+)
 from repro.core.snappy import SnappyCodec
 from repro.core.tokens import reconstruct
 from repro.core.zstd import ZstdLikeCodec
@@ -111,6 +117,25 @@ class TestChainMatcher:
         shallow.tokenize(data)
         deep.tokenize(data)
         assert deep.stats.chain_steps > shallow.stats.chain_steps
+
+
+class TestLevelPresets:
+    def test_deflate_codecs_leave_shared_presets_alone(self):
+        data = CASES["zeros"] + CASES["text"]
+        zstd_first = ZstdLikeCodec(3).compress(data)
+        before = {level: dataclasses.asdict(config)
+                  for level, config in LEVEL_PRESETS.items()}
+        caller = ChainMatcherConfig(window_log=17)
+        for level in LEVEL_PRESETS:
+            DeflateCodec(level)
+        DeflateCodec(config=caller)
+        after = {level: dataclasses.asdict(config)
+                 for level, config in LEVEL_PRESETS.items()}
+        assert after == before
+        assert all(config.max_match == ChainMatcherConfig().max_match
+                   for config in LEVEL_PRESETS.values())
+        assert (caller.window_log, caller.max_match) == (17, 1 << 16)
+        assert ZstdLikeCodec(3).compress(data) == zstd_first
 
 
 class TestBlockFormat:
