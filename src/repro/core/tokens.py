@@ -86,6 +86,20 @@ class TokenStream:
             position += seq.match_length
 
 
+def copy_match(out: bytearray, offset: int, length: int) -> bytes:
+    """The ``length`` bytes an LZ77 match copies from ``offset`` back.
+
+    ``out`` must hold at least ``offset`` bytes.  An overlapping match
+    (``offset < length``) reads bytes it writes itself, which under
+    byte-at-a-time semantics repeats the last ``offset`` bytes; that is
+    built by slice replication instead of a per-byte loop.
+    """
+    start = len(out) - offset
+    if offset >= length:
+        return out[start:start + length]
+    return (out[start:] * (length // offset + 1))[:length]
+
+
 def reconstruct(stream: TokenStream) -> bytes:
     """Decode a token stream back into the original bytes.
 
@@ -107,8 +121,7 @@ def reconstruct(stream: TokenStream) -> bytes:
                 raise DecompressionError(
                     f"offset {seq.offset} reaches before output start"
                 )
-            for i in range(seq.match_length):
-                out.append(out[src + i])
+            out += copy_match(out, seq.offset, seq.match_length)
     if lit_pos != len(stream.literals):
         raise DecompressionError(
             f"{len(stream.literals) - lit_pos} literals left undecoded"

@@ -179,3 +179,47 @@ def test_lz77_redundant_text_property(text):
     assert reconstruct(stream) == data
     # Total accounting invariant.
     assert stream.total_literals + stream.total_match_bytes == len(data)
+
+
+def _bytewise_reconstruct(stream: TokenStream) -> bytes:
+    """Byte-at-a-time LZ77 copy: the reference for slice replication."""
+    out = bytearray()
+    lit_pos = 0
+    for seq in stream.sequences:
+        out += stream.literals[lit_pos:lit_pos + seq.literal_length]
+        lit_pos += seq.literal_length
+        src = len(out) - seq.offset
+        for i in range(seq.match_length):
+            out.append(out[src + i])
+    return bytes(out)
+
+
+@st.composite
+def _overlapping_streams(draw):
+    """Valid token streams whose matches are mostly overlapping."""
+    literals = bytearray()
+    sequences = []
+    produced = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        chunk = draw(st.binary(min_size=0 if produced else 1, max_size=6))
+        literals += chunk
+        produced += len(chunk)
+        offset = draw(st.integers(min_value=1,
+                                  max_value=min(produced, 300)))
+        length = draw(st.integers(min_value=4, max_value=300))
+        sequences.append(Sequence(len(chunk), length, offset))
+        produced += length
+    return TokenStream(bytes(literals), sequences)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_overlapping_streams())
+def test_slice_copies_match_bytewise_reference(stream):
+    expected = _bytewise_reconstruct(stream)
+    assert reconstruct(stream) == expected
+    decoder = DpzipLz77Decoder()
+    assert decoder.decode(stream) == expected
+    overlapping = sum(seq.offset < seq.match_length
+                      for seq in stream.sequences)
+    assert decoder.stats.overlap_copies == overlapping
+    assert decoder.stats.match_bytes == stream.total_match_bytes
