@@ -4,6 +4,12 @@ The writers/readers are LSB-first (DEFLATE convention): the first bit
 written occupies the least significant free bit of the current byte.
 All entropy stages in :mod:`repro.core` (Huffman, FSE, Deflate-like
 extra bits) share these primitives so framing is uniform.
+
+A decode or encode loop that keeps its bit buffer in local variables
+(the Deflate symbol stream) takes over at a documented boundary instead
+of touching reader or writer state: it starts reading the underlying
+bytes at :attr:`BitReader.bits_consumed`, and it hands whole packed
+bytes to :meth:`BitWriter.write_bytes` at a byte-aligned point.
 """
 
 from __future__ import annotations

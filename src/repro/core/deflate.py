@@ -17,13 +17,14 @@ this codec functionally and differ only in their device/cost models.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.core import huffman
 from repro.core.bitio import BitReader, BitWriter
 from repro.core.matchers import ChainMatcher, ChainMatcherConfig, config_for_level
-from repro.core.tokens import MIN_MATCH, TokenStream
-from repro.errors import CompressionError, DecompressionError
+from repro.core.tokens import MIN_MATCH, TokenStream, copy_match
+from repro.errors import BitstreamError, DecompressionError
 
 _EOB = 256  # end-of-block symbol
 
@@ -53,27 +54,44 @@ _MODE_RAW = 0
 _MODE_DYNAMIC = 1
 
 
-def _length_symbol(length: int) -> tuple[int, int, int]:
-    """Match length -> ``(symbol, extra_value, extra_bits)``."""
-    if length < 3 or length > _MAX_MATCH:
-        raise CompressionError(f"deflate length {length} out of range")
-    for index in range(len(_LENGTH_BASE) - 1, -1, -1):
-        if length >= _LENGTH_BASE[index]:
-            if index == len(_LENGTH_BASE) - 1 and length != 258:
-                continue
-            return (257 + index, length - _LENGTH_BASE[index],
-                    _LENGTH_EXTRA[index])
-    raise CompressionError(f"unmappable deflate length {length}")
+def _length_codes() -> list[tuple[int, int, int]]:
+    """Match length (index, 3..258) -> ``(symbol, extra_value, extra_bits)``."""
+    codes = [(0, 0, 0)] * 3
+    for index, base in enumerate(_LENGTH_BASE[:-1]):
+        extra = _LENGTH_EXTRA[index]
+        codes += [(257 + index, length - base, extra)
+                  for length in range(base, min(base + (1 << extra),
+                                                _MAX_MATCH))]
+    codes.append((285, 0, 0))  # 258 has its own extra-free code
+    return codes
 
 
-def _distance_symbol(distance: int) -> tuple[int, int, int]:
-    """Match offset -> ``(symbol, extra_value, extra_bits)``."""
-    if distance < 1 or distance > 32768:
-        raise CompressionError(f"deflate distance {distance} out of range")
-    for index in range(len(_DIST_BASE) - 1, -1, -1):
-        if distance >= _DIST_BASE[index]:
-            return index, distance - _DIST_BASE[index], _DIST_EXTRA[index]
-    raise CompressionError(f"unmappable deflate distance {distance}")
+_LENGTH_CODES = _length_codes()
+
+
+def _distance_code(distance: int) -> tuple[int, int, int]:
+    """Match offset (1..32768) -> ``(symbol, extra_value, extra_bits)``.
+
+    Codes 2k+2 and 2k+3 split ``[2^(k+1), 2^(k+2))`` of ``distance - 1``
+    in halves and carry ``k`` extra bits, so the symbol follows from the
+    bit length instead of a table walk.
+    """
+    if distance <= 4:
+        return distance - 1, 0, 0
+    rest = distance - 1
+    extra = rest.bit_length() - 2
+    return 2 * extra + (rest >> extra), rest & ((1 << extra) - 1), extra
+
+
+def _stream_bits(value: int, nbits: int) -> str:
+    """``value``'s low ``nbits`` bits, LSB first, as a '0'/'1' string."""
+    return format(value, f"0{nbits}b")[::-1] if nbits else ""
+
+
+def _code_strings(table: huffman.HuffmanTable) -> list[str]:
+    """Per-symbol canonical code as a '0'/'1' string, MSB first."""
+    return [format(code, f"0{length}b") if length else ""
+            for code, length in table.codes]
 
 
 @dataclass
@@ -124,27 +142,9 @@ class DeflateCodec:
             return reader.read_bytes(size)
         if mode != _MODE_DYNAMIC:
             raise DecompressionError(f"unknown deflate mode {mode}")
-        litlen_lengths = huffman.parse_lengths(reader)
-        dist_lengths = huffman.parse_lengths(reader)
-        litlen = huffman.HuffmanTable(litlen_lengths)
-        dist = huffman.HuffmanTable(dist_lengths)
-        out = bytearray()
-        while True:
-            symbol = litlen.decode_symbol(reader)
-            if symbol < 256:
-                out.append(symbol)
-                continue
-            if symbol == _EOB:
-                break
-            index = symbol - 257
-            length = _LENGTH_BASE[index] + reader.read(_LENGTH_EXTRA[index])
-            dsym = dist.decode_symbol(reader)
-            distance = _DIST_BASE[dsym] + reader.read(_DIST_EXTRA[dsym])
-            src = len(out) - distance
-            if src < 0:
-                raise DecompressionError("deflate distance before start")
-            for i in range(length):
-                out.append(out[src + i])
+        litlen = huffman.HuffmanTable(huffman.parse_lengths(reader))
+        dist = huffman.HuffmanTable(huffman.parse_lengths(reader))
+        out = _inflate(payload, reader.bits_consumed, litlen, dist)
         if len(out) != size:
             raise DecompressionError(
                 f"deflate decoded {len(out)} bytes, header says {size}"
@@ -155,56 +155,75 @@ class DeflateCodec:
 
     def _encode(self, data: bytes, tokens: TokenStream,
                 stats: DeflateStats) -> bytes:
-        symbols: list[tuple[int, int, int]] = []  # (symbol, extra, bits)
-        dist_syms: list[tuple[int, int, int]] = []
-        lit_pos = 0
+        literals = tokens.literals
+        # One (literal run end, length, distance) entry per match piece.
+        plan: list[tuple[int, int, int]] = []
+        lit_end = 0
         for seq in tokens.sequences:
-            for b in tokens.literals[lit_pos:lit_pos + seq.literal_length]:
-                symbols.append((b, 0, 0))
-            lit_pos += seq.literal_length
-            if seq.match_length:
-                # Chop matches beyond the format cap into 258-byte pieces.
-                remaining = seq.match_length
-                while remaining:
-                    piece = min(remaining, _MAX_MATCH)
-                    if remaining - piece in (1, 2, 3):
-                        piece = remaining - MIN_MATCH
-                    sym, extra, bits = _length_symbol(piece)
-                    symbols.append((sym, extra, bits))
-                    dist_syms.append(_distance_symbol(seq.offset))
-                    remaining -= piece
-        symbols.append((_EOB, 0, 0))
+            lit_end += seq.literal_length
+            remaining = seq.match_length
+            # Chop matches beyond the format cap into 258-byte pieces,
+            # never leaving a tail shorter than MIN_MATCH.
+            while remaining > _MAX_MATCH:
+                piece = (_MAX_MATCH if remaining - _MAX_MATCH >= MIN_MATCH
+                         else remaining - MIN_MATCH)
+                plan.append((lit_end, piece, seq.offset))
+                remaining -= piece
+            if remaining:
+                plan.append((lit_end, remaining, seq.offset))
+        stats.litlen_symbols += len(literals) + len(plan) + 1
+        stats.dist_symbols += len(plan)
+        lengths = {piece: _LENGTH_CODES[piece] for piece
+                   in dict.fromkeys(piece for _, piece, _ in plan)}
+        distances = {offset: _distance_code(offset) for offset
+                     in dict.fromkeys(offset for _, _, offset in plan)}
 
         litlen_freqs = [0] * _LITLEN_ALPHABET
-        for sym, _, _ in symbols:
-            litlen_freqs[sym] += 1
+        for byte, count in Counter(literals).items():
+            litlen_freqs[byte] = count
+        litlen_freqs[_EOB] = 1
         dist_freqs = [0] * _DIST_ALPHABET
-        for sym, _, _ in dist_syms:
-            dist_freqs[sym] += 1
+        for _, piece, offset in plan:
+            litlen_freqs[lengths[piece][0]] += 1
+            dist_freqs[distances[offset][0]] += 1
         litlen_table = huffman.build_huffman_table(litlen_freqs)
         stats.table_builds += 1
         writer = BitWriter()
         writer.write(_MODE_DYNAMIC, 8)
         writer.write(len(data), 32)
         huffman.serialize_lengths(litlen_table.lengths, writer)
-        if any(dist_freqs):
+        if plan:
             dist_table = huffman.build_huffman_table(dist_freqs)
             stats.table_builds += 1
         else:
             dist_table = huffman.HuffmanTable([0] * _DIST_ALPHABET)
         huffman.serialize_lengths(dist_table.lengths, writer)
-        dist_iter = iter(dist_syms)
-        for sym, extra, bits in symbols:
-            litlen_table.encode_symbol(sym, writer)
-            stats.litlen_symbols += 1
-            if bits:
-                writer.write(extra, bits)
-            if sym > _EOB:
-                dsym, dextra, dbits = next(dist_iter)
-                dist_table.encode_symbol(dsym, writer)
-                stats.dist_symbols += 1
-                if dbits:
-                    writer.write(dextra, dbits)
+
+        # The symbol stream is joined as one stream-order '0'/'1' string
+        # from per-symbol pieces (a canonical code is written MSB-first,
+        # extra bits LSB-first) and packed by a single conversion.
+        lit_bits = _code_strings(litlen_table)
+        dist_bits = _code_strings(dist_table)
+        length_bits = {piece: lit_bits[sym] + _stream_bits(extra, nbits)
+                       for piece, (sym, extra, nbits) in lengths.items()}
+        distance_bits = {
+            offset: dist_bits[sym] + _stream_bits(extra, nbits)
+            for offset, (sym, extra, nbits) in distances.items()}
+        parts: list[str] = []
+        lit_pos = 0
+        for lit_end, piece, offset in plan:
+            parts += map(lit_bits.__getitem__, literals[lit_pos:lit_end])
+            parts.append(length_bits[piece])
+            parts.append(distance_bits[offset])
+            lit_pos = lit_end
+        parts += map(lit_bits.__getitem__, literals[lit_pos:])
+        parts.append(lit_bits[_EOB])
+        stream = "".join(parts)
+        # The serialized tables are whole bytes (a 16-bit count plus an
+        # even number of nibbles after the 40-bit header), so the
+        # symbol stream starts byte-aligned.
+        writer.write_bytes(int(stream[::-1], 2).to_bytes(
+            (len(stream) + 7) // 8, "little"))
         payload = writer.getvalue()
         raw_size = 5 + len(data)
         if len(payload) >= raw_size:
@@ -215,6 +234,76 @@ class DeflateCodec:
             raw.write_bytes(data)
             return raw.getvalue()
         return payload
+
+
+def _inflate(data: bytes, bit_pos: int, litlen: huffman.HuffmanTable,
+             dist: huffman.HuffmanTable) -> bytearray:
+    """Decode the symbol stream that starts ``bit_pos`` bits into ``data``.
+
+    The bit buffer lives in locals: ``acc`` holds ``nbits`` unread
+    stream bits (first bit in bit 0) and is refilled eight bytes at a
+    time.  Past the end of ``data`` it reads zeros, so each step checks
+    ``nbits`` before it trusts a decoded value, raising what the
+    bit-serial :meth:`~repro.core.huffman.HuffmanTable.decode_symbol`
+    would: :class:`BitstreamError` for a truncated stream and
+    :class:`DecompressionError` for a pattern no code owns.
+    """
+    lit_table = litlen.decode_table
+    lit_mask = (1 << litlen.max_bits) - 1
+    dist_table = dist.decode_table
+    dist_mask = (1 << dist.max_bits) - 1
+    pos = bit_pos >> 3
+    chunk = data[pos:pos + 8]
+    acc = int.from_bytes(chunk, "little") >> (bit_pos & 7)
+    nbits = (len(chunk) << 3) - (bit_pos & 7)
+    pos += 8
+    out = bytearray()
+    append = out.append
+    while True:
+        if nbits < 48:  # one match needs at most 11+5+11+13 bits
+            chunk = data[pos:pos + 8]
+            acc |= int.from_bytes(chunk, "little") << nbits
+            nbits += len(chunk) << 3
+            pos += 8
+        entry = lit_table[acc & lit_mask]
+        used = entry & 0xFF
+        if used > nbits:
+            raise _code_error(entry, nbits, litlen.max_bits)
+        acc >>= used
+        nbits -= used
+        symbol = entry >> 8
+        if symbol < 256:
+            append(symbol)
+            continue
+        if symbol == _EOB:
+            return out
+        index = symbol - 257
+        extra = _LENGTH_EXTRA[index]
+        length = _LENGTH_BASE[index] + (acc & ((1 << extra) - 1))
+        acc >>= extra
+        nbits -= extra
+        entry = dist_table[acc & dist_mask]
+        used = entry & 0xFF
+        if used > nbits:
+            raise _code_error(entry, nbits, dist.max_bits)
+        acc >>= used
+        nbits -= used
+        extra = _DIST_EXTRA[entry >> 8]
+        distance = _DIST_BASE[entry >> 8] + (acc & ((1 << extra) - 1))
+        acc >>= extra
+        nbits -= extra
+        if nbits < 0:
+            raise BitstreamError("deflate stream ends inside extra bits")
+        if distance > len(out):
+            raise DecompressionError("deflate distance before start")
+        out += copy_match(out, distance, length)
+
+
+def _code_error(entry: int, nbits: int, max_bits: int) -> Exception:
+    """Error for a failed table lookup with ``nbits`` stream bits left."""
+    if entry == huffman.INVALID_CODE and nbits >= max_bits:
+        return DecompressionError("invalid Huffman code in stream")
+    return BitstreamError("deflate stream ends inside a Huffman code")
 
 
 def roundtrip_check(data: bytes, level: int = 1) -> bool:

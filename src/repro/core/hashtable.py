@@ -10,6 +10,8 @@ describes, and counts probe/insert operations for the cycle model.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 #: Knuth multiplicative constant; cheap in hardware (shift/add network).
@@ -21,6 +23,26 @@ _EMPTY = -1
 def hash_word(word: int, bits: int) -> int:
     """Multiplicative hash of a 32-bit little-endian word to ``bits`` bits."""
     return ((word * _GOLDEN32) & 0xFFFFFFFF) >> (32 - bits)
+
+
+def hash_words(data: bytes, bits: int) -> list[int]:
+    """:func:`hash_word` of the little-endian word at every position.
+
+    Entry ``p`` hashes ``data[p:p + 4]`` for each ``p`` with a full word
+    (``len(data) - 3`` entries).  Positions ``p = k (mod 4)`` are one
+    aligned ``array("I")`` view of ``data[k:]``, so the words are read
+    in C and only the multiply-shift runs per word in Python.
+    """
+    count = len(data) - 3
+    hashes = [0] * max(count, 0)
+    shift = 32 - bits
+    for k in range(min(count, 4)):
+        words = array("I", data[k:k + 4 * ((count - k + 3) // 4)])
+        if sys.byteorder == "big":
+            words.byteswap()
+        hashes[k::4] = [((word * _GOLDEN32) & 0xFFFFFFFF) >> shift
+                        for word in words]
+    return hashes
 
 
 def hash_pair(word: int, bits: int) -> tuple[int, int]:

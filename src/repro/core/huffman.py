@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.bitio import BitReader, BitWriter
 from repro.errors import CompressionError, DecompressionError
@@ -38,6 +39,9 @@ _NIB_ZRUN_SHORT = 12  # next nibble encodes a zero run of 3..18
 _NIB_ZRUN_LONG = 13   # next byte (two nibbles) encodes a run of 19..274
 _ZRUN_SHORT_MIN = 3
 _ZRUN_LONG_MIN = 19
+
+#: :attr:`HuffmanTable.decode_table` entry for bit patterns no code owns.
+INVALID_CODE = 0xFF
 
 
 @dataclass
@@ -62,8 +66,9 @@ class HuffmanTable:
 
     ``lengths[symbol]`` is zero for absent symbols.  ``codes[symbol]`` is
     ``(code, length)`` with the code in canonical MSB-first orientation;
-    the encoder bit-reverses on write so the LSB-first bitstream decodes
-    MSB-first (the DEFLATE convention).
+    :attr:`stream_codes` holds the same codes bit-reversed, which is what
+    the LSB-first writer emits so the bitstream decodes MSB-first (the
+    DEFLATE convention).
     """
 
     lengths: list[int]
@@ -99,23 +104,29 @@ class HuffmanTable:
                 codes[symbol] = (next_code[length], length)
                 next_code[length] += 1
         self.codes = codes
-        self._counts = counts
-        # Canonical decode metadata: first code value and first symbol
-        # index per length, over symbols sorted by (length, symbol).
-        first_code = [0] * (self.max_bits + 1)
-        first_index = [0] * (self.max_bits + 1)
-        ordered: list[int] = []
-        code = 0
-        for length in range(1, self.max_bits + 1):
-            code = (code + counts[length - 1]) << 1
-            first_code[length] = code
-            first_index[length] = len(ordered)
-            ordered.extend(
-                sym for sym, slen in enumerate(lengths) if slen == length
-            )
-        self._first_code = first_code
-        self._first_index = first_index
-        self._ordered_symbols = ordered
+
+    @cached_property
+    def stream_codes(self) -> list[int]:
+        """Per-symbol code bit-reversed, as the LSB-first writer emits it."""
+        return [_reverse_bits(code, length) if length else 0
+                for code, length in self.codes]
+
+    @cached_property
+    def decode_table(self) -> list[int]:
+        """Full-width decode table over the next ``max_bits`` stream bits.
+
+        Entry ``i`` describes the code that the stream bits ``i`` (first
+        bit in bit 0) start with, packed as ``symbol << 8 | length``.
+        Bit patterns no code owns map to :data:`INVALID_CODE`, whose
+        length field (255) exceeds any bit count a reader holds.
+        """
+        width = self.max_bits
+        table = [INVALID_CODE] * (1 << width)
+        for symbol, (code, length) in enumerate(self.codes):
+            if length:
+                table[self.stream_codes[symbol]::1 << length] = (
+                    [symbol << 8 | length] * (1 << (width - length)))
+        return table
 
     @property
     def symbol_count(self) -> int:
@@ -126,19 +137,22 @@ class HuffmanTable:
         code, length = self.codes[symbol]
         if length == 0:
             raise CompressionError(f"symbol {symbol} has no code")
-        # Bit-reverse so an LSB-first stream yields MSB-first code bits.
-        writer.write(_reverse_bits(code, length), length)
+        writer.write(self.stream_codes[symbol], length)
         return length
 
     def decode_symbol(self, reader: BitReader) -> int:
-        """Read one canonical code MSB-first and return its symbol."""
-        code = 0
-        for length in range(1, self.max_bits + 1):
-            code = (code << 1) | reader.read(1)
-            index = code - self._first_code[length]
-            if 0 <= index < self._counts[length]:
-                return self._ordered_symbols[self._first_index[length] + index]
-        raise DecompressionError("invalid Huffman code in stream")
+        """Read one canonical code MSB-first and return its symbol.
+
+        Raises :class:`BitstreamError` when the stream ends inside a
+        code and :class:`DecompressionError` when ``max_bits`` stream
+        bits start no code.
+        """
+        entry = self.decode_table[reader.peek(self.max_bits)]
+        if entry == INVALID_CODE:
+            reader.skip(self.max_bits)  # a short stream is a truncation
+            raise DecompressionError("invalid Huffman code in stream")
+        reader.skip(entry & 0xFF)
+        return entry >> 8
 
     def encoded_bit_length(self, freqs: list[int]) -> int:
         """Exact payload bits this table needs for the given histogram."""

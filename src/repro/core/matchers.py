@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.hashtable import hash_word
+from repro.core.hashtable import hash_words
 from repro.core.tokens import MIN_MATCH, Sequence, TokenStream
 from repro.errors import CompressionError
 
@@ -86,90 +86,123 @@ class ChainMatcher:
         self.stats = MatcherStats()
 
     def tokenize(self, data: bytes) -> TokenStream:
-        """Produce a token stream; each call is an independent block."""
+        """Produce a token stream; each call is an independent block.
+
+        Every position with a full 4-byte word is hashed once up front
+        (:func:`hash_words`) and inserted exactly once, except the
+        position a lazy deferral lands on.  A position whose bucket
+        holds no candidate inside the window skips the chain search.
+        With lazy parsing a found match waits one position (pending)
+        while the search runs again at the next byte.
+        """
         cfg = self.config
-        stats = MatcherStats()
         n = len(data)
+        hashes = hash_words(data, cfg.hash_log)
         head = [-1] * (1 << cfg.hash_log)
         prev = [-1] * n
+        window = cfg.window
+        max_chain = cfg.max_chain
+        nice_length = cfg.nice_length
+        max_match = cfg.max_match
+        lazy = cfg.lazy
+        from_bytes = int.from_bytes
+        chain_steps = compare_bytes = deferrals = 0
         literals = bytearray()
         sequences: list[Sequence] = []
+        last = n - MIN_MATCH  # last position with a full word
+        pending = 0  # length of a lazy match at pos - 1, 0 when none
         pos = 0
         lit_start = 0
-
-        def insert(p: int) -> None:
-            if p + 4 > n:
-                return
-            word = int.from_bytes(data[p:p + 4], "little")
-            bucket = hash_word(word, cfg.hash_log)
-            prev[p] = head[bucket]
-            head[bucket] = p
-            stats.hash_inserts += 1
-
-        def find(p: int) -> tuple[int, int]:
-            """Best ``(length, offset)`` at ``p`` (0, 0 when none)."""
-            if p + MIN_MATCH > n:
-                return 0, 0
-            word = int.from_bytes(data[p:p + 4], "little")
-            bucket = hash_word(word, cfg.hash_log)
+        while pos <= last:
+            bucket = hashes[pos]
             candidate = head[bucket]
-            best_len = 0
-            best_off = 0
-            chain = cfg.max_chain
-            limit = min(n - p, cfg.max_match)
-            while candidate >= 0 and chain > 0 and p - candidate <= cfg.window:
-                stats.chain_steps += 1
-                chain -= 1
-                length = 0
-                while (length < limit
-                       and data[candidate + length] == data[p + length]):
-                    length += 1
-                stats.compare_bytes += length + 1
-                if length > best_len:
-                    best_len = length
-                    best_off = p - candidate
-                    if length >= cfg.nice_length:
-                        break
-                candidate = prev[candidate]
-            if best_len < MIN_MATCH:
-                return 0, 0
-            return best_len, best_off
-
-        while pos < n:
-            stats.positions += 1
-            length, offset = find(pos)
-            if length == 0:
-                insert(pos)
-                pos += 1
-                continue
-            if cfg.lazy and pos + 1 < n:
-                stats.lazy_evaluations += 1
-                insert(pos)
-                next_length, next_offset = find(pos + 1)
-                if next_length > length + 1:
-                    # Defer: take the better match at pos+1.
-                    pos += 1
-                    length, offset = next_length, next_offset
-                inserted_current = True
+            length = 0
+            if candidate >= 0 and pos - candidate <= window:
+                chain = max_chain
+                limit = n - pos
+                if limit > max_match:
+                    limit = max_match
+                word = from_bytes(data[pos:pos + 16], "little")
+                while candidate >= 0 and chain and pos - candidate <= window:
+                    chain -= 1
+                    # Common prefix: the lowest differing byte of the XOR.
+                    diff = from_bytes(data[candidate:candidate + 16],
+                                      "little") ^ word
+                    if diff:
+                        found = ((diff & -diff).bit_length() - 1) >> 3
+                        if found > limit:
+                            found = limit
+                    else:
+                        found = _extend(data, candidate, pos, limit)
+                    compare_bytes += found + 1
+                    if found > length:
+                        length = found
+                        offset = pos - candidate
+                        if found >= nice_length:
+                            break
+                    candidate = prev[candidate]
+                chain_steps += max_chain - chain
+                if length < MIN_MATCH:
+                    length = 0
+            if pending:
+                if length > pending + 1:
+                    deferrals += 1  # take the match here; pos stays out
+                else:
+                    pos -= 1
+                    length, offset = pending, pending_offset
+                pending = 0
             else:
-                inserted_current = False
-            literal_len = pos - lit_start
+                prev[pos] = head[bucket]
+                head[bucket] = pos
+                if not length:
+                    pos += 1
+                    continue
+                if lazy and pos < last:
+                    pending, pending_offset = length, offset
+                    pos += 1
+                    continue
             literals += data[lit_start:pos]
-            sequences.append(Sequence(literal_len, length, offset))
-            stats.matches += 1
-            stats.matched_bytes += length
-            stats.literals += literal_len
-            start = pos if not inserted_current else pos + 1
-            for q in range(start, min(pos + length, n - 3)):
-                insert(q)
+            sequences.append(Sequence(pos - lit_start, length, offset))
+            for q in range(pos + 1, min(pos + length, last + 1)):
+                bucket = hashes[q]
+                prev[q] = head[bucket]
+                head[bucket] = q
             pos += length
             lit_start = pos
         if lit_start < n:
-            tail = n - lit_start
             literals += data[lit_start:]
-            sequences.append(Sequence(tail, 0, 0))
-            stats.literals += tail
-        self.stats = stats
+            sequences.append(Sequence(n - lit_start, 0, 0))
+        matches = len(sequences) - (lit_start < n)
+        self.stats = MatcherStats(
+            positions=len(literals) + matches - deferrals,
+            hash_inserts=len(hashes) - deferrals,
+            chain_steps=chain_steps,
+            compare_bytes=compare_bytes,
+            lazy_evaluations=matches if lazy else 0,
+            matches=matches,
+            matched_bytes=n - len(literals),
+            literals=len(literals),
+        )
         stream = TokenStream(bytes(literals), sequences)
         stream.validate()
         return stream
+
+
+def _extend(data: bytes, candidate: int, p: int, limit: int) -> int:
+    """Common-prefix length of two positions whose first 16 bytes match,
+    capped at ``limit``.  Spans start at 256 bytes (a whole deflate
+    match) and double, so a short match under a long ``limit`` never
+    pays for a full-width slice."""
+    length = 16
+    span = 256
+    while length < limit:
+        span = min(span, limit - length)
+        diff = (int.from_bytes(data[candidate + length:
+                                    candidate + length + span], "little")
+                ^ int.from_bytes(data[p + length:p + length + span],
+                                 "little"))
+        if diff:
+            return length + (((diff & -diff).bit_length() - 1) >> 3)
+        length += span
+        span <<= 1
+    return limit
