@@ -146,7 +146,9 @@ class ChainMatcher:
                     length = 0
             if pending:
                 if length > pending + 1:
-                    deferrals += 1  # take the match here; pos stays out
+                    # Defer: the match here wins, and this position is
+                    # never inserted.
+                    deferrals += 1
                 else:
                     pos -= 1
                     length, offset = pending, pending_offset

@@ -86,7 +86,7 @@ class TokenStream:
             position += seq.match_length
 
 
-def copy_match(out: bytearray, offset: int, length: int) -> bytes:
+def copy_match(out: bytearray, offset: int, length: int) -> bytearray:
     """The ``length`` bytes an LZ77 match copies from ``offset`` back.
 
     ``out`` must hold at least ``offset`` bytes.  An overlapping match
