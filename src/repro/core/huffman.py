@@ -134,7 +134,7 @@ class HuffmanTable:
 
     def encode_symbol(self, symbol: int, writer: BitWriter) -> int:
         """Write one symbol; returns the number of bits emitted."""
-        code, length = self.codes[symbol]
+        length = self.lengths[symbol]
         if length == 0:
             raise CompressionError(f"symbol {symbol} has no code")
         writer.write(self.stream_codes[symbol], length)
