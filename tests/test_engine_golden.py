@@ -20,6 +20,7 @@ them.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -81,6 +82,93 @@ class TestGoldenRun:
                 "golden trace export changed: span timestamps or "
                 "ordering drifted across the kernel rewrite"
             )
+
+
+#: Extra golden scenarios, one document each under ``tests/golden/``:
+#: the run's rows plus the sha256 of its exported trace.  Together they
+#: cover the block-store GET/PUT path, the checked-in federation spec
+#: and a batch-heavy fleet whose batch members (and a closed-loop
+#: client) share timestamps.
+SCENARIOS = ("store_client", "federation", "batched_fleet")
+
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+
+
+def _traced(spec):
+    return dataclasses.replace(
+        spec, telemetry=TelemetrySpec(trace=True, metrics_interval_ns=1e5))
+
+
+def _scenario_store_client(trace_path):
+    cluster = Cluster.from_spec(_traced(default_cluster_spec(store=True)))
+    cluster.store_client(offered_gbps=36.0, duration_ns=5e5, seed=5)
+    result = cluster.run()
+    result.export_trace(str(trace_path))
+    store = result.store
+    return {
+        **_result_document(result),
+        "store": {
+            "reads": store.reads, "writes": store.writes,
+            "coalesced_reads": store.coalesced_reads,
+            "hit_rate": store.hit_rate,
+            "read_p99_us": store.read_p99_us,
+            "write_p99_us": store.write_p99_us,
+            "physical_bytes": store.physical_bytes,
+        },
+    }
+
+
+def _scenario_federation(trace_path):
+    from repro.federation import Federation, FederationSpec
+
+    spec = FederationSpec.from_json(
+        (EXAMPLES_DIR / "federation.json").read_text())
+    result = Federation.from_spec(spec).run()
+    result.run.export_trace(str(trace_path))
+    return {
+        "row": result.row(),
+        "clients": result.run.clients,
+        "member_rows": result.member_rows(),
+        "router_rows": result.router_rows(),
+        "metrics_rows": result.run.telemetry.metrics_rows,
+    }
+
+
+def _scenario_batched_fleet(trace_path):
+    base = default_cluster_spec()
+    # Eight-wide batches with a short flush timer at moderate load:
+    # batches flush both on size and on the timer, every member of a
+    # batch enters the device at the same instant, and per-VF fair
+    # arbitration serves four tenants.
+    spec = dataclasses.replace(base, fleet=dataclasses.replace(
+        base.fleet, batch_size=8, batch_timeout_ns=5_000.0,
+        fair_share_tenants=4))
+    cluster = Cluster.from_spec(_traced(spec))
+    cluster.open_loop(offered_gbps=16.0, duration_ns=5e5, tenants=4,
+                      seed=9)
+    cluster.closed_loop(window=4, duration_ns=5e5, think_ns=2_000.0,
+                        seed=9)
+    result = cluster.run()
+    result.export_trace(str(trace_path))
+    return _result_document(result)
+
+
+def _scenario_document(name, tmp_path):
+    trace_path = tmp_path / f"{name}_trace.json"
+    document = globals()[f"_scenario_{name}"](trace_path)
+    document["trace_sha256"] = hashlib.sha256(
+        trace_path.read_bytes()).hexdigest()
+    return (json.dumps(document, indent=2, sort_keys=True)
+            + "\n").encode()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_byte_identical(name, tmp_path):
+    got = _scenario_document(name, tmp_path)
+    assert got == (GOLDEN_DIR / f"{name}.json").read_bytes(), (
+        f"golden scenario {name!r} changed: rows or trace drifted, so "
+        f"the event interleaving or a float expression changed"
+    )
 
 
 class TestCostTable:
