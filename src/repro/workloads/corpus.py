@@ -118,7 +118,10 @@ def synthetic_medical(n: int, seed: int) -> bytes:
     value = 512
     while len(out) < n:
         value = max(0, min(4095, value + rng.randrange(-6, 7)))
-        noisy = value + rng.randrange(-1, 2)
+        # Clamp only the floor (-1 cannot encode unsigned); a sample
+        # of 4096 fits two bytes, so every corpus that encoded before
+        # keeps its bytes.
+        noisy = max(0, value + rng.randrange(-1, 2))
         out += noisy.to_bytes(2, "little")
     return bytes(out[:n])
 

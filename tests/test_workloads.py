@@ -113,6 +113,20 @@ class TestCorpus:
         assert len(chunks) == 12 * 4
         assert all(len(c) == 4096 for c in chunks)
 
+    def test_seed_11_medium_members_build(self):
+        # synthetic_medical used to draw a -1 sample here and raise
+        # OverflowError from its unsigned encoding.
+        corpus = build_corpus(member_size=16 * 1024, seed=11)
+        assert all(m.size == 16 * 1024 for m in corpus)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           member_size=st.sampled_from([4096, 8192, 16384]))
+    def test_any_seed_builds(self, seed, member_size):
+        corpus = build_corpus(member_size=member_size, seed=seed)
+        assert len(corpus) == 12
+        assert all(m.size == member_size for m in corpus)
+
     def test_deterministic(self):
         a = build_corpus(member_size=8 * 1024, seed=3)
         b = build_corpus(member_size=8 * 1024, seed=3)
