@@ -147,16 +147,21 @@ class SSTable:
         block = self.find_block(key)
         if block is None:
             return None, None
-        if block.compressed:
-            raw, cost = hook.decompress_block(block.payload)
-        else:
-            raw, cost = block.payload, BlockCost(
-                stored_payload=block.payload,
-                logical_bytes=block.logical_bytes,
-                physical_bytes=block.physical_bytes,
-            )
-        value = _scan_entries(raw, key)
-        return value, cost
+        raw, cost = read_block(block, hook)
+        return scan_entries(raw, key), cost
+
+
+def read_block(block: DataBlock,
+               hook: CompressionHook) -> tuple[bytes, BlockCost]:
+    """The block's serialized entries, decompressed if stored
+    compressed, plus the cost of getting them."""
+    if block.compressed:
+        return hook.decompress_block(block.payload)
+    return block.payload, BlockCost(
+        stored_payload=block.payload,
+        logical_bytes=block.logical_bytes,
+        physical_bytes=block.physical_bytes,
+    )
 
 
 def _serialize_entries(items: list[tuple[bytes, bytes]]) -> bytes:
@@ -169,7 +174,8 @@ def _serialize_entries(items: list[tuple[bytes, bytes]]) -> bytes:
     return bytes(out)
 
 
-def _scan_entries(raw: bytes, key: bytes) -> bytes | None:
+def scan_entries(raw: bytes, key: bytes) -> bytes | None:
+    """The value stored under ``key`` in a serialized block, or None."""
     pos = 0
     n = len(raw)
     while pos < n:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.fs import BtrfsModel, EXTENT_BYTES, ZfsModel
 from repro.apps.kv import LsmStore, MemTable, SSTable, make_hook
-from repro.apps.kv.hooks import OffHook
+from repro.apps.kv.hooks import CpuDeflateHook, OffHook
 from repro.errors import ConfigurationError
 from repro.workloads.datagen import ratio_controlled_bytes
 from repro.workloads.ycsb import make_value
@@ -120,6 +120,27 @@ class TestLsmStore:
         _, cold = store.get(key)
         _, warm = store.get(key)
         assert warm.foreground_ns < cold.foreground_ns or cold.blocks_read == 0
+
+    def test_block_cache_hit_decompresses_nothing(self):
+        class CountingHook(CpuDeflateHook):
+            decompressions = 0
+
+            def decompress_block(self, payload):
+                CountingHook.decompressions += 1
+                return super().decompress_block(payload)
+
+        store = LsmStore(hook=CountingHook(), memtable_bytes=4 * 1024)
+        _fill(store, 200)
+        store.flush_page_cache()
+        key = b"user00000050"
+        before = CountingHook.decompressions
+        value, cold = store.get(key)
+        assert cold.blocks_read == 1
+        assert CountingHook.decompressions == before + 1
+        cached, warm = store.get(key)
+        assert cached == value == make_value(50, 300)
+        assert warm.blocks_read == 0
+        assert CountingHook.decompressions == before + 1
 
     def test_ledger_accumulates(self):
         store = LsmStore(hook=OffHook())
