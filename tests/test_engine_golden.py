@@ -85,11 +85,14 @@ class TestGoldenRun:
 
 
 #: Extra golden scenarios, one document each under ``tests/golden/``:
-#: the run's rows plus the sha256 of its exported trace.  Together they
-#: cover the block-store GET/PUT path, the checked-in federation spec
-#: and a batch-heavy fleet whose batch members (and a closed-loop
-#: client) share timestamps.
-SCENARIOS = ("store_client", "federation", "batched_fleet")
+#: the run's rows plus the sha256 of its exported trace, if it has one.
+#: Together they cover the block-store GET/PUT path, the checked-in
+#: federation spec, a batch-heavy fleet whose batch members (and a
+#: closed-loop client) share timestamps, and a stub fleet on integer
+#: costs where same-timestamp work is the rule, so the order of
+#: zero-delay hops decides the completion order.
+SCENARIOS = ("store_client", "federation", "batched_fleet",
+             "tied_timestamps")
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -153,11 +156,67 @@ def _scenario_batched_fleet(trace_path):
     return _result_document(result)
 
 
+def _tied_timestamps_run(submit_ns, follow_ups):
+    from service_stubs import StubDevice, flat_model
+    from repro.service.fleet import FleetDevice
+    from repro.service.request import OffloadRequest
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    # Doorbell, pre, post and engine times are all multiples of 10 ns,
+    # like the arrival gaps, so most heap entries share a timestamp.
+    model = flat_model(engine_per_byte_ns=0.01, submit_ns=submit_ns,
+                       pre_ns=20.0, post_ns=20.0)
+    devices = [
+        FleetDevice(sim, StubDevice(name=name, engines=2), model,
+                    batch_size=3, batch_timeout_ns=30.0,
+                    fair_share_tenants=fair)
+        for name, fair in (("fifo", None), ("fair", 3))
+    ]
+    rng = random.Random(13)
+    completions = []
+
+    def submit(trace_id):
+        device = devices[rng.randrange(2)]
+        if device.can_accept():
+            device.enqueue(OffloadRequest(
+                tenant=rng.randrange(3), nbytes=1000 * rng.randrange(1, 4),
+                ratio=1.0, trace_id=trace_id), on_complete)
+
+    def on_complete(request, device, cost):
+        completions.append([sim.now, device.name, request.trace_id])
+        # Every other completion may issue a follow-up, so the order of
+        # same-timestamp completions feeds back into later batches.
+        if (follow_ups and request.trace_id < 1000
+                and request.trace_id % 2 == 0):
+            submit(request.trace_id + 1000)
+
+    def arrivals():
+        for trace_id in range(600):
+            yield sim.timeout(10.0 * rng.randrange(4))
+            submit(trace_id)
+
+    sim.spawn(arrivals())
+    sim.run()
+    for device in devices:
+        device.batcher.flush_now()
+    sim.run()
+    return completions
+
+
+def _scenario_tied_timestamps(trace_path):
+    return {f"submit_{submit_ns:g}ns_follow_ups_{follow_ups}":
+            _tied_timestamps_run(submit_ns, follow_ups)
+            for submit_ns, follow_ups in ((10.0, False), (10.0, True),
+                                          (20.0, True))}
+
+
 def _scenario_document(name, tmp_path):
     trace_path = tmp_path / f"{name}_trace.json"
     document = globals()[f"_scenario_{name}"](trace_path)
-    document["trace_sha256"] = hashlib.sha256(
-        trace_path.read_bytes()).hexdigest()
+    if trace_path.exists():
+        document["trace_sha256"] = hashlib.sha256(
+            trace_path.read_bytes()).hexdigest()
     return (json.dumps(document, indent=2, sort_keys=True)
             + "\n").encode()
 
