@@ -69,6 +69,7 @@ class LintConfig:
         "service/scheduler.py",
         "service/fleet.py",
         "service/request.py",
+        "virt/qos.py",
         "telemetry/",
         "federation/router.py",
         "workloads/population.py",

@@ -17,10 +17,12 @@ validation at each pop:
   queue entry instead of mutating a fired event);
 * **waiter-queue leaks** — at :meth:`finish`, no
   :class:`~repro.sim.engine.Resource` still has blocked acquirers, no
-  :class:`~repro.sim.engine.Store` still holds undelivered items, and
-  no QoS arbiter still has blocked virtual functions.  (Parked
-  ``Store.get()`` waiters are fine — perpetual server loops end every
-  run waiting for work that never comes.)
+  :class:`~repro.sim.engine.Store` still holds undelivered items, no
+  QoS arbiter still has queued or blocked requests, and no fleet
+  device still holds batches its submission path never rang.  (Idle
+  consumers are fine: a parked ``Store.get()`` waiter, a sleeping
+  arbiter engine or an idle device submitter ends every run waiting
+  for work that never comes.)
 
 Validation happens at pop time inside the run loop, never by changing
 what is scheduled or when, so a sanitized run's ``RunResult`` rows and
@@ -175,10 +177,11 @@ class SanitizedSimulator(Simulator):
 
         Raises :class:`SanitizerError` naming every leak:  a
         :class:`Resource` with blocked acquirers, a :class:`Store` with
-        undelivered items, or an arbiter with blocked requests.  Parked
-        ``Store.get()`` waiters are deliberately *not* leaks — server
-        loops legitimately end every run blocked on their next work
-        item.
+        undelivered items, an arbiter with queued or blocked requests,
+        or a fleet device with undelivered batches.  Idle consumers
+        (parked ``Store.get()`` waiters, sleeping engines, idle
+        submitters) are deliberately *not* leaks — they legitimately
+        end every run waiting for their next work item.
         """
         self._check_fired(self._batch_fired)
         self._check_fired(self._fired_events)
@@ -196,6 +199,12 @@ class SanitizedSimulator(Simulator):
                 leaks.append(
                     f"{name} ended the run with {len(items)} "
                     f"undelivered item(s)"
+                )
+            batches = getattr(waitable, "_batches", None)
+            if batches:
+                leaks.append(
+                    f"{name} ended the run with {len(batches)} "
+                    f"undelivered batch(es)"
                 )
             blocked = getattr(waitable, "_blocked", None)
             if blocked:

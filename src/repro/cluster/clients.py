@@ -161,17 +161,20 @@ class OpenLoopClient(ClusterClient):
         self.stream = stream
 
     def _spawn(self) -> None:
-        self.sim.spawn(self._arrivals())
+        # Start through a zero-delay hop; the first gap is drawn when
+        # it runs.
+        self.sim.call_later(0.0, self._start_arrivals)
 
-    def _arrivals(self) -> Generator[Any, Any, None]:
-        # The hottest client loop in the repo (every open-loop request
-        # passes through once): hoist the per-iteration lookups and use
-        # bound methods for the hooks instead of constructing two
-        # closures per request.
+    def _start_arrivals(self) -> None:
+        # The hottest client path in the repo (every open-loop request
+        # passes through once): each arrival is a self-rescheduling
+        # tick, one heap push per gap, with the per-tick lookups hoisted
+        # into closure cells and bound methods for the hooks instead of
+        # two closures per request.
         stream = self.stream
         rng = stream.rng()
         sim = self.sim
-        timeout = sim.timeout
+        call_later = sim.call_later
         next_gap_ns = stream.next_gap_ns
         make_request = stream.make_request
         submit = self.service.submit
@@ -182,25 +185,32 @@ class OpenLoopClient(ClusterClient):
         if diurnal is not None:
             # Diurnal pacing (PopulationStream): divide each Poisson gap
             # by the rate factor at the instant the gap is drawn.  A
-            # separate loop keeps the undecorated hot path byte-for-byte
+            # separate tick keeps the undecorated hot path byte-for-byte
             # identical for plain streams (golden sweeps pin it).
             rate_at = diurnal.rate_at
-            while True:
-                yield timeout(next_gap_ns(rng) / rate_at(sim.now))
+
+            def diurnal_arrival() -> None:
                 if sim.now >= duration_ns:
-                    break
+                    self._done()
+                    return
                 self.submitted += 1
                 submit(make_request(rng), on_complete=complete,
                        on_drop=drop)
-            self._done()
+                call_later(next_gap_ns(rng) / rate_at(sim.now),
+                           diurnal_arrival)
+
+            call_later(next_gap_ns(rng) / rate_at(sim.now), diurnal_arrival)
             return
-        while True:
-            yield timeout(next_gap_ns(rng))
+
+        def arrival() -> None:
             if sim.now >= duration_ns:
-                break
+                self._done()
+                return
             self.submitted += 1
             submit(make_request(rng), on_complete=complete, on_drop=drop)
-        self._done()
+            call_later(next_gap_ns(rng), arrival)
+
+        call_later(next_gap_ns(rng), arrival)
 
     def _complete(self, request: OffloadRequest, device, cost) -> None:
         self._record_completion(request)
@@ -363,20 +373,23 @@ class StoreClient(ClusterClient):
         # The measurement horizon on the store is owned by Cluster.run
         # (the longest client duration), not reset per client.
         if self.window is None:
-            self.sim.spawn(self._arrivals())
+            self.sim.call_later(0.0, self._start_arrivals)
         else:
             self._live_connections = self.window
             for connection in range(self.window):
                 self.sim.spawn(self._connection(connection))
 
-    def _arrivals(self) -> Generator[Any, Any, None]:
+    def _start_arrivals(self) -> None:
+        # Open loop: one self-rescheduling tick per arrival.
         stream = self.stream
         rng = stream.rng()
         keys = stream.key_generator()
-        while True:
-            yield self.sim.timeout(stream.next_gap_ns(rng))
-            if self.sim.now >= stream.duration_ns:
-                break
+        sim = self.sim
+
+        def arrival() -> None:
+            if sim.now >= stream.duration_ns:
+                self._done()
+                return
             op = stream.make_op(rng, keys)
             self.submitted += 1
             if op.kind == "read":
@@ -385,7 +398,9 @@ class StoreClient(ClusterClient):
             else:
                 self.writes += 1
                 self.store.put(op.block, op.tenant, op.ratio)
-        self._done()
+            sim.call_later(stream.next_gap_ns(rng), arrival)
+
+        sim.call_later(stream.next_gap_ns(rng), arrival)
 
     # -- closed-loop connections -----------------------------------------------
 

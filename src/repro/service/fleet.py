@@ -15,19 +15,32 @@ that models brown-out/power-cap derating — engine occupancy is scaled
 by ``1 / speed_factor`` both in the served timing and in the response
 estimates the placement policies consult, so dispatch adapts to a
 derated device without being told.
+
+The serving data plane runs on bare heap callbacks, not generator
+processes.  A device's submitter is a deque of rung-but-unserved
+batches plus an idle flag, and each submission walks its own slotted
+pipeline (:class:`_Submission`): start, pre-processing, VF arbiter,
+post-processing, completion.  The rule that keeps outputs identical to
+the generator version is *one push for one push*: wherever a process
+bootstrap, a ``timeout`` or an ``Event.succeed`` put an entry on the
+heap, the callback version pushes exactly one callable with the same
+delay at the same moment, so every relative ``(when, seq)`` order is
+unchanged.  Zero-delay hops stay hops; calling through them directly
+would reorder same-timestamp work.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable
 
 from repro.errors import ServiceError
 from repro.hw.engine import CdpuDevice, Placement
 from repro.service.model import CostTable, DeviceCostModel, ModeledCost
 from repro.service.request import OffloadRequest
-from repro.sim.engine import Simulator, Store
+from repro.sim.engine import Simulator
 from repro.sim.stats import ThroughputTracker
 from repro.telemetry import DISABLED
 from repro.virt.qos import FairArbiter, FcfsArbiter, VfRequest
@@ -106,14 +119,80 @@ class Batcher:
 
 @dataclass(slots=True)
 class _Submission:
-    """One queued request plus its predicted cost and completion hook."""
+    """One queued request plus its predicted cost and completion hook.
 
+    After the doorbell the submission is also the request's serving
+    pipeline: a zero-delay hop into :meth:`start`, the pre-processing
+    delay, the VF arbiter, a zero-delay hop when the engine finishes,
+    the post-processing delay, then completion.
+    """
+
+    device: "FleetDevice"
     request: OffloadRequest
     cost: ModeledCost
     on_complete: Callable[[OffloadRequest, "FleetDevice", ModeledCost],
                           None] | None
     #: When the request entered this device's queue (telemetry only).
-    enqueue_ns: float = 0.0
+    enqueue_ns: float
+    #: When the pipeline started, after the doorbell.
+    entry_ns: float = 0.0
+    #: Engine occupancy at the derate sampled on arbiter entry.
+    engine_ns: float = 0.0
+
+    def start(self) -> None:
+        device = self.device
+        self.entry_ns = device.sim.now
+        pre_ns = self.cost.pre_ns
+        if pre_ns > 0:
+            device.sim.call_later(pre_ns, self.arbitrate)
+        else:
+            self.arbitrate()
+
+    def arbitrate(self) -> None:
+        device = self.device
+        request = self.request
+        vf_count = device._vf_count
+        # Derate sampled at engine-entry time: a brown-out mid-run slows
+        # queued work too, exactly like a clock throttle would.
+        engine_ns = self.cost.engine_ns / device.speed_factor
+        self.engine_ns = engine_ns
+        device.arbiter.submit(VfRequest(
+            vf_index=request.tenant % vf_count if vf_count else 0,
+            nbytes=request.nbytes,
+            service_ns=engine_ns,
+            done=self.engine_done,
+        ))
+
+    def engine_done(self) -> None:
+        self.device.sim.call_later(0.0, self.post)
+
+    def post(self) -> None:
+        post_ns = self.cost.post_ns
+        if post_ns > 0:
+            self.device.sim.call_later(post_ns, self.complete)
+        else:
+            self.complete()
+
+    def complete(self) -> None:
+        device = self.device
+        request = self.request
+        cost = self.cost
+        device.inflight -= 1
+        device.backlog_ns = max(device.backlog_ns - cost.engine_ns, 0.0)
+        device.completed += 1
+        device.throughput.record(request.nbytes, self.engine_ns)
+        tel = device.telemetry
+        if tel.tracing:
+            # ``dispatch`` covers batching + the shared doorbell ring;
+            # ``serve`` is the device's own pre/engine/post pipeline.
+            tel.span(device.name, "dispatch", self.enqueue_ns,
+                     self.entry_ns, {"req": request.trace_id})
+            tel.span(device.name, "serve", self.entry_ns, device.sim.now, {
+                "req": request.trace_id, "op": request.op,
+                "tenant": request.tenant,
+            })
+        if self.on_complete is not None:
+            self.on_complete(request, device, cost)
 
 
 class FleetDevice:
@@ -122,7 +201,8 @@ class FleetDevice:
     # "state" is a property backed by _state (with is_online as its
     # hot-path mirror), so it must not appear as a slot itself.
     __slots__ = ("sim", "device", "models", "_engines", "queue_limit",
-                 "arbiter", "_vf_count", "batcher", "_batch_queue",
+                 "arbiter", "_vf_count", "batcher", "_batches",
+                 "_ringing", "_submitter_idle",
                  "cost_tables", "_state", "is_online", "speed_factor",
                  "inflight", "peak_inflight", "completed",
                  "batches_submitted", "backlog_ns", "throughput",
@@ -166,8 +246,17 @@ class FleetDevice:
             self._vf_count = None
         self.batcher = Batcher(sim, batch_size, batch_timeout_ns,
                                self._launch_batch)
-        self._batch_queue = Store(sim)
-        sim.spawn(self._submitter())
+        # The serial submission path: batches waiting for the doorbell,
+        # the batch being rung, and whether the path is idle.  It
+        # starts busy until its start-up hop runs.
+        self._batches: deque[list[_Submission]] = deque()
+        self._ringing: list[_Submission] = []
+        self._submitter_idle = False
+        sim.call_later(0.0, self._next_batch)
+        # Let the runtime sanitizer audit undelivered batches at run end.
+        register = getattr(sim, "_register_waitable", None)
+        if register is not None:
+            register(self)
         #: Per-op precomputed cost tables (:class:`~repro.service.model.
         #: CostTable`), attached at cluster assembly and shared across
         #: identical fleet members; empty means predict off the live
@@ -330,56 +419,38 @@ class FleetDevice:
             tel.span("scheduler", "queue", request.arrival_ns, now, {
                 "req": request.trace_id, "device": self.name,
             })
-        self.batcher.add(_Submission(request, cost, on_complete,
-                                     enqueue_ns=now))
+        self.batcher.add(_Submission(self, request, cost, on_complete, now))
 
-    # -- simulation processes --------------------------------------------------
+    # -- submission path -------------------------------------------------------
+
+    # The submission path is serial per device: each batch rings the
+    # doorbell once, so batching amortizes the ring across the batch
+    # while back-to-back singleton submissions pay it every time.
 
     def _launch_batch(self, batch: list[_Submission]) -> None:
         self.batches_submitted += 1
-        self._batch_queue.put(batch)
+        if self._submitter_idle:
+            # Hand the batch straight to the idle path through one
+            # zero-delay hop.
+            self._submitter_idle = False
+            self._ringing = batch
+            self.sim.call_later(0.0, self._ring)
+        else:
+            self._batches.append(batch)
 
-    def _submitter(self) -> Generator[Any, Any, None]:
-        # The submission path is serial per device: each batch rings the
-        # doorbell once, so batching amortizes the ring across the batch
-        # while back-to-back singleton submissions pay it every time.
-        while True:
-            batch = yield self._batch_queue.get()
-            yield self.sim.timeout(max(s.cost.submit_ns for s in batch))
-            for submission in batch:
-                self.sim.spawn(self._serve(submission))
+    def _next_batch(self) -> None:
+        if self._batches:
+            self._ringing = self._batches.popleft()
+            self.sim.call_later(0.0, self._ring)
+        else:
+            self._submitter_idle = True
 
-    def _serve(self, submission: _Submission) -> Generator[Any, Any, None]:
-        cost = submission.cost
-        entry_ns = self.sim.now
-        if cost.pre_ns > 0:
-            yield self.sim.timeout(cost.pre_ns)
-        vf_index = (submission.request.tenant % self._vf_count
-                    if self._vf_count else 0)
-        # Derate sampled at engine-entry time: a brown-out mid-run slows
-        # queued work too, exactly like a clock throttle would.
-        engine_ns = cost.engine_ns / self.speed_factor
-        yield self.arbiter.submit(VfRequest(
-            vf_index=vf_index,
-            nbytes=submission.request.nbytes,
-            service_ns=engine_ns,
-        ))
-        if cost.post_ns > 0:
-            yield self.sim.timeout(cost.post_ns)
-        self.inflight -= 1
-        self.backlog_ns = max(self.backlog_ns - cost.engine_ns, 0.0)
-        self.completed += 1
-        self.throughput.record(submission.request.nbytes, engine_ns)
-        tel = self.telemetry
-        if tel.tracing:
-            request = submission.request
-            # ``dispatch`` covers batching + the shared doorbell ring;
-            # ``serve`` is the device's own pre/engine/post pipeline.
-            tel.span(self.name, "dispatch", submission.enqueue_ns,
-                     entry_ns, {"req": request.trace_id})
-            tel.span(self.name, "serve", entry_ns, self.sim.now, {
-                "req": request.trace_id, "op": request.op,
-                "tenant": request.tenant,
-            })
-        if submission.on_complete is not None:
-            submission.on_complete(submission.request, self, cost)
+    def _ring(self) -> None:
+        self.sim.call_later(max(s.cost.submit_ns for s in self._ringing),
+                            self._rung)
+
+    def _rung(self) -> None:
+        call_later = self.sim.call_later
+        for submission in self._ringing:
+            call_later(0.0, submission.start)
+        self._next_batch()

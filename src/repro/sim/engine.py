@@ -25,6 +25,25 @@ Determinism is unchanged: entries fire in ``(when, seq)`` order and
 ``seq`` is a single monotone counter, so two runs of the same seeded
 workload interleave identically.
 
+Generators are for control flow that waits on something.  The kernel
+API and the processes built on it stay generator processes: the fleet
+control plane, closed-loop client connections, metrics samplers, the
+legacy single-stream drivers, the Figure 20 tenant VMs and the
+experiments.  The per-request open-loop serving path is bare callables
+on :meth:`Simulator.call_later` instead: arrival ticks
+(:mod:`repro.cluster.clients`), a fleet device's submission path and
+request pipeline (:mod:`repro.service.fleet`), the VF arbiter engines
+(:mod:`repro.virt.qos`) and block-store GET serving
+(:mod:`repro.store.store`).  A generator process becomes callbacks
+with identical results under one rule, *one push for one push*: each
+heap entry the process pushed (its bootstrap, each ``timeout``, each
+``Event.succeed`` that resumed it) becomes exactly one callable pushed
+with the same delay at the same moment, so every relative
+``(when, seq)`` order is unchanged.  A zero-delay hop stays a hop;
+calling through it directly would run its work ahead of entries
+already queued for that instant.  Only the exit event of a process
+nothing joins disappears, and an entry nobody waits on orders nothing.
+
 Example
 -------
 >>> sim = Simulator()

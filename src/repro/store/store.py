@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator
 
 from repro.errors import StoreError
@@ -281,8 +282,9 @@ class CompressedBlockStore:
                 tel.instant("store", "cache-probe", arrival, {
                     "req": op_id, "block": block, "outcome": "hit",
                 })
-            self.sim.spawn(self._serve_hit(arrival, on_done, block=block,
-                                           op_id=op_id))
+            # A zero-delay hop, then the DRAM copy.
+            self.sim.call_later(0.0, partial(self._serve_hit, arrival,
+                                             on_done, block, op_id))
             return "hit"
         if block in self._pending_reads:
             # Another reader already has this block's decompress in
@@ -301,15 +303,20 @@ class CompressedBlockStore:
             })
         location = self.blockmap.lookup(block)
         self._pending_reads[block] = [(arrival, on_done, op_id)]
-        self.sim.spawn(self._serve_miss(block, tenant, location.length))
+        self.sim.call_later(0.0, partial(self._serve_miss, block, tenant,
+                                         location.length))
         return "miss"
 
     def _serve_hit(self, arrival_ns: float,
-                   on_done: Callable[[str], None] | None = None, *,
-                   block: int = -1, op_id: int = -1,
-                   ) -> Generator[Any, Any, None]:
-        yield self.sim.timeout(self.hit_overhead_ns
-                               + self.hit_per_byte_ns * self.block_bytes)
+                   on_done: Callable[[str], None] | None,
+                   block: int, op_id: int) -> None:
+        self.sim.call_later(
+            self.hit_overhead_ns + self.hit_per_byte_ns * self.block_bytes,
+            partial(self._hit_done, arrival_ns, on_done, block, op_id))
+
+    def _hit_done(self, arrival_ns: float,
+                  on_done: Callable[[str], None] | None,
+                  block: int, op_id: int) -> None:
         self._finish_read(arrival_ns, self.metrics.hit_latency)
         tel = self.telemetry
         if tel.tracing:
@@ -320,13 +327,19 @@ class CompressedBlockStore:
             on_done("completed")
 
     def _serve_miss(self, block: int, tenant: int,
-                    compressed_len: int) -> Generator[Any, Any, None]:
+                    compressed_len: int) -> None:
         # Fetch the compressed extent from media, then decompress via
-        # the fleet.  The request carries the *decompressed* size (what
-        # the per-op cost models are fitted on) and the block's stored
-        # achieved ratio.
-        yield self.sim.timeout(self.media_overhead_ns
-                               + self.media_per_byte_ns * compressed_len)
+        # the fleet.
+        self.sim.call_later(self.media_overhead_ns
+                            + self.media_per_byte_ns * compressed_len,
+                            partial(self._decompress, block, tenant,
+                                    compressed_len))
+
+    def _decompress(self, block: int, tenant: int,
+                    compressed_len: int) -> None:
+        # The request carries the *decompressed* size (what the per-op
+        # cost models are fitted on) and the block's stored achieved
+        # ratio.
         request = OffloadRequest(tenant=tenant, nbytes=self.block_bytes,
                                  ratio=compressed_len / self.block_bytes,
                                  op="decompress", slo=self.read_slo)

@@ -11,16 +11,26 @@ Two arbiters over the same engine pool:
 
 Both are real queueing processes on the DES, not closed-form formulas:
 the CV gap in Figure 20 *emerges* from the scheduling discipline.
+
+The engines are callbacks on the simulator heap, not generator
+processes.  Each heap push the generator version made is one
+:meth:`~repro.sim.engine.Simulator.call_later` push here, with the same
+delay at the same moment: an engine's start-up hop, its service
+timeout, and the zero-delay wake that idle engines get when work
+arrives.  A request's ``done`` hook is called where the generator
+version succeeded its completion event, so callers that need an event
+pass ``event.succeed``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Generator
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 @dataclass(slots=True)
@@ -30,93 +40,104 @@ class VfRequest:
     vf_index: int
     nbytes: int
     service_ns: float
-    done: Event = None  # type: ignore[assignment]
+    #: Called with no arguments when an engine finishes the request.
+    done: Callable[[], Any]
 
 
 class _ArbiterBase:
-    """Engine-slot dispatch shared by both policies."""
+    """Engine-slot dispatch shared by both policies.
+
+    Engine slots are interchangeable, so idle ones are only counted:
+    ``_sleeping`` engines wait for work, and ``_wake_pending`` marks
+    the one zero-delay wake already on the heap for them.
+    """
+
+    __slots__ = ("sim", "engine_slots", "_sleeping", "_wake_pending")
 
     def __init__(self, sim: Simulator, engine_slots: int) -> None:
         if engine_slots < 1:
             raise SimulationError("need at least one engine slot")
         self.sim = sim
         self.engine_slots = engine_slots
-        self._idle_engines = engine_slots
-        self._wakeup: Event | None = None
+        self._sleeping = 0
+        self._wake_pending = False
         # Let the runtime sanitizer audit arbiter queues at run end.
         register = getattr(sim, "_register_waitable", None)
         if register is not None:
             register(self)
         for _ in range(engine_slots):
-            sim.spawn(self._engine_loop())
+            sim.call_later(0.0, self._engine_step)
 
     # -- subclass interface --
 
     def _pop_next(self) -> VfRequest | None:
         raise NotImplementedError
 
-    def _has_pending(self) -> bool:
-        raise NotImplementedError
-
-    def submit(self, request: VfRequest) -> Event:
+    def submit(self, request: VfRequest) -> None:
         raise NotImplementedError
 
     # -- engine machinery --
 
     def _notify(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self._sleeping and not self._wake_pending:
+            self._wake_pending = True
+            self.sim.call_later(0.0, self._wake)
 
-    def _engine_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            request = self._pop_next()
-            if request is None:
-                if self._wakeup is None or self._wakeup.fired:
-                    self._wakeup = self.sim.event()
-                yield self._wakeup
-                continue
-            yield self.sim.timeout(request.service_ns)
-            request.done.succeed()
+    def _wake(self) -> None:
+        sleepers = self._sleeping
+        self._sleeping = 0
+        self._wake_pending = False
+        for _ in range(sleepers):
+            self._engine_step()
+
+    def _engine_step(self) -> None:
+        """One idle engine takes the next request, or goes to sleep."""
+        request = self._pop_next()
+        if request is None:
+            self._sleeping += 1
+            return
+        self.sim.call_later(request.service_ns,
+                            partial(self._engine_done, request))
+
+    def _engine_done(self, request: VfRequest) -> None:
+        request.done()
+        self._engine_step()
 
 
 class FcfsArbiter(_ArbiterBase):
     """Shared FIFO with a device-wide in-flight ceiling (QAT)."""
 
+    __slots__ = ("_queue", "_ceiling", "_blocked")
+
     def __init__(self, sim: Simulator, engine_slots: int,
                  queue_ceiling: int) -> None:
         self._queue: deque[VfRequest] = deque()
         self._ceiling = queue_ceiling
-        self._blocked: deque[tuple[VfRequest, Event]] = deque()
+        self._blocked: deque[VfRequest] = deque()
         super().__init__(sim, engine_slots)
 
-    def submit(self, request: VfRequest) -> Event:
-        request.done = self.sim.event()
+    def submit(self, request: VfRequest) -> None:
         if len(self._queue) >= self._ceiling:
             # Hardware queue full: the submission itself blocks until a
             # slot frees (the "concurrency ceiling" of Finding 6).
-            gate = self.sim.event()
-            self._blocked.append((request, gate))
-            return request.done
+            self._blocked.append(request)
+            return
         self._queue.append(request)
         self._notify()
-        return request.done
 
     def _pop_next(self) -> VfRequest | None:
         if not self._queue:
             return None
         request = self._queue.popleft()
         while self._blocked and len(self._queue) < self._ceiling:
-            pending, gate = self._blocked.popleft()
-            self._queue.append(pending)
-            gate.succeed()
+            self._queue.append(self._blocked.popleft())
         return request
-
-    def _has_pending(self) -> bool:
-        return bool(self._queue)
 
 
 class FairArbiter(_ArbiterBase):
     """Per-VF queues served round-robin (DP-CSD front-end QoS)."""
+
+    __slots__ = ("_queues", "_cursor")
 
     def __init__(self, sim: Simulator, engine_slots: int,
                  vf_count: int) -> None:
@@ -125,11 +146,9 @@ class FairArbiter(_ArbiterBase):
         self._cursor = 0
         super().__init__(sim, engine_slots)
 
-    def submit(self, request: VfRequest) -> Event:
-        request.done = self.sim.event()
+    def submit(self, request: VfRequest) -> None:
         self._queues[request.vf_index].append(request)
         self._notify()
-        return request.done
 
     def _pop_next(self) -> VfRequest | None:
         vf_count = len(self._queues)
@@ -139,6 +158,3 @@ class FairArbiter(_ArbiterBase):
                 self._cursor = (index + 1) % vf_count
                 return self._queues[index].popleft()
         return None
-
-    def _has_pending(self) -> bool:
-        return any(self._queues)

@@ -117,14 +117,15 @@ class MultiTenantSim:
                 yield sim.timeout(think)
                 dones = []
                 for _ in range(burst):
-                    request = VfRequest(
+                    done = sim.event()
+                    arbiter.submit(VfRequest(
                         vf_index=vf_index,
                         nbytes=profile.request_bytes,
                         service_ns=self.service.service_ns(
                             profile.request_bytes, rng,
                             profile.service_jitter),
-                    )
-                    done = arbiter.submit(request)
+                        done=done.succeed,
+                    ))
                     # Attribute bytes at each request's own completion
                     # instant so second-granular bins are exact.
                     done.add_callback(recorders[vf_index])

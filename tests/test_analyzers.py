@@ -500,6 +500,37 @@ class TestSanitizedSimulator:
         sim.run()
         sim.finish()
 
+    def _stub_device(self, sim):
+        from service_stubs import StubDevice, flat_model
+        from repro.service.fleet import FleetDevice
+        from repro.service.request import OffloadRequest
+
+        device = FleetDevice(sim, StubDevice(), flat_model(submit_ns=100.0),
+                             batch_size=1)
+        # Two singleton batches: the first rings the doorbell, the
+        # second waits behind it on the serial submission path.
+        for _ in range(2):
+            device.enqueue(OffloadRequest(tenant=0, nbytes=4096, ratio=1.0))
+        return device
+
+    def test_fleet_device_stranded_batch_detected(self):
+        sim = SanitizedSimulator()
+        self._stub_device(sim)
+        sim.run(until=50.0)  # stop while the first batch is ringing
+        with pytest.raises(SanitizerError,
+                           match="FleetDevice ended the run with 1 "
+                                 "undelivered batch"):
+            sim.finish()
+
+    def test_idle_fleet_device_is_not_a_leak(self):
+        # A drained device ends with an idle submitter and sleeping
+        # engines; neither is stranded work.
+        sim = SanitizedSimulator()
+        device = self._stub_device(sim)
+        sim.run()
+        sim.finish()
+        assert device.completed == 2
+
     def test_clean_run_finishes_quietly(self):
         sim = SanitizedSimulator()
         resource = Resource(sim, capacity=1)
