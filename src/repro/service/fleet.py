@@ -429,21 +429,16 @@ class FleetDevice:
 
     def _launch_batch(self, batch: list[_Submission]) -> None:
         self.batches_submitted += 1
+        self._batches.append(batch)
         if self._submitter_idle:
-            # Hand the batch straight to the idle path through one
-            # zero-delay hop.
-            self._submitter_idle = False
-            self._ringing = batch
-            self.sim.call_later(0.0, self._ring)
-        else:
-            self._batches.append(batch)
+            self._next_batch()
 
     def _next_batch(self) -> None:
+        # Take the next batch through one zero-delay hop, or go idle.
+        self._submitter_idle = not self._batches
         if self._batches:
             self._ringing = self._batches.popleft()
             self.sim.call_later(0.0, self._ring)
-        else:
-            self._submitter_idle = True
 
     def _ring(self) -> None:
         self.sim.call_later(max(s.cost.submit_ns for s in self._ringing),
