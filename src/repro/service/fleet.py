@@ -16,17 +16,14 @@ by ``1 / speed_factor`` both in the served timing and in the response
 estimates the placement policies consult, so dispatch adapts to a
 derated device without being told.
 
-The serving data plane runs on bare heap callbacks, not generator
-processes.  A device's submitter is a deque of rung-but-unserved
-batches plus an idle flag, and each submission walks its own slotted
-pipeline (:class:`_Submission`): start, pre-processing, VF arbiter,
-post-processing, completion.  The rule that keeps outputs identical to
-the generator version is *one push for one push*: wherever a process
-bootstrap, a ``timeout`` or an ``Event.succeed`` put an entry on the
-heap, the callback version pushes exactly one callable with the same
-delay at the same moment, so every relative ``(when, seq)`` order is
-unchanged.  Zero-delay hops stay hops; calling through them directly
-would reorder same-timestamp work.
+The serving data plane runs on bare heap callbacks.  A device's
+submission path is a deque of batches waiting for the doorbell plus an
+idle flag, and each submission walks its own slotted pipeline
+(:class:`_Submission`): start, pre-processing, VF arbiter,
+post-processing, completion.  Every stage boundary is exactly one heap
+push, zero-delay hops included (the one-push-for-one-push rule in
+:mod:`repro.sim.engine`); calling through a hop directly would reorder
+same-timestamp work.
 """
 
 from __future__ import annotations

@@ -12,14 +12,13 @@ Two arbiters over the same engine pool:
 Both are real queueing processes on the DES, not closed-form formulas:
 the CV gap in Figure 20 *emerges* from the scheduling discipline.
 
-The engines are callbacks on the simulator heap, not generator
-processes.  Each heap push the generator version made is one
-:meth:`~repro.sim.engine.Simulator.call_later` push here, with the same
-delay at the same moment: an engine's start-up hop, its service
-timeout, and the zero-delay wake that idle engines get when work
-arrives.  A request's ``done`` hook is called where the generator
-version succeeded its completion event, so callers that need an event
-pass ``event.succeed``.
+The engines are callbacks on the simulator heap.  An engine's start-up
+hop, each service timeout and the zero-delay wake that sleeping engines
+get when work arrives are one
+:meth:`~repro.sim.engine.Simulator.call_later` push each, as the
+one-push-for-one-push rule in :mod:`repro.sim.engine` requires.  A
+request's ``done`` hook is called when its service ends; callers that
+wait on an event pass ``event.succeed``.
 """
 
 from __future__ import annotations
