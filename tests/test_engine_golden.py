@@ -84,16 +84,6 @@ class TestGoldenRun:
             )
 
 
-#: Extra golden scenarios, one document each under ``tests/golden/``:
-#: the run's rows plus the sha256 of its exported trace, if it has one.
-#: Together they cover the block-store GET/PUT path, the checked-in
-#: federation spec, a batch-heavy fleet whose batch members (and a
-#: closed-loop client) share timestamps, and a stub fleet on integer
-#: costs where same-timestamp work is the rule, so the order of
-#: zero-delay hops decides the completion order.
-SCENARIOS = ("store_client", "federation", "batched_fleet",
-             "tied_timestamps")
-
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -211,9 +201,24 @@ def _scenario_tied_timestamps(trace_path):
                                           (20.0, True))}
 
 
+#: Extra golden scenarios, one document each under ``tests/golden/``:
+#: the run's rows plus the sha256 of its exported trace, if it has one.
+#: Together they cover the block-store GET/PUT path, the checked-in
+#: federation spec, a batch-heavy fleet whose batch members (and a
+#: closed-loop client) share timestamps, and a stub fleet on integer
+#: costs where same-timestamp work is the rule, so the order of
+#: zero-delay hops decides the completion order.
+SCENARIOS = {
+    "store_client": _scenario_store_client,
+    "federation": _scenario_federation,
+    "batched_fleet": _scenario_batched_fleet,
+    "tied_timestamps": _scenario_tied_timestamps,
+}
+
+
 def _scenario_document(name, tmp_path):
     trace_path = tmp_path / f"{name}_trace.json"
-    document = globals()[f"_scenario_{name}"](trace_path)
+    document = SCENARIOS[name](trace_path)
     if trace_path.exists():
         document["trace_sha256"] = hashlib.sha256(
             trace_path.read_bytes()).hexdigest()
