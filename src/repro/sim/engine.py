@@ -28,7 +28,7 @@ workload interleave identically.
 Generators are for control flow that waits on something.  The kernel
 API and the processes built on it stay generator processes: the fleet
 control plane, closed-loop client connections, metrics samplers, the
-legacy single-stream drivers, the Figure 20 tenant VMs and the
+legacy single-stream ``drive()`` loops, the Figure 20 tenant VMs and the
 experiments.  The per-request open-loop serving path is bare callables
 on :meth:`Simulator.call_later` instead: arrival ticks
 (:mod:`repro.cluster.clients`), a fleet device's submission path and

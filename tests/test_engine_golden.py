@@ -175,7 +175,7 @@ def _tied_timestamps_run(submit_ns, follow_ups):
 
     def on_complete(request, device, cost):
         completions.append([sim.now, device.name, request.trace_id])
-        # Every other completion may issue a follow-up, so the order of
+        # Every other completion may submit a follow-up, so the order of
         # same-timestamp completions feeds back into later batches.
         if (follow_ups and request.trace_id < 1000
                 and request.trace_id % 2 == 0):
