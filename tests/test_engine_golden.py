@@ -194,6 +194,13 @@ def _tied_timestamps_run(submit_ns, follow_ups):
     return completions
 
 
+def _scenario_sweep_rows(trace_path):
+    from repro.sweep import run_sweep_spec
+    from repro.sweep.spec import example_sweep_spec
+
+    return {"rows": run_sweep_spec(example_sweep_spec()).rows()}
+
+
 def _scenario_tied_timestamps(trace_path):
     return {f"submit_{submit_ns:g}ns_follow_ups_{follow_ups}":
             _tied_timestamps_run(submit_ns, follow_ups)
@@ -205,14 +212,16 @@ def _scenario_tied_timestamps(trace_path):
 #: the run's rows plus the sha256 of its exported trace, if it has one.
 #: Together they cover the block-store GET/PUT path, the checked-in
 #: federation spec, a batch-heavy fleet whose batch members (and a
-#: closed-loop client) share timestamps, and a stub fleet on integer
+#: closed-loop client) share timestamps, a stub fleet on integer
 #: costs where same-timestamp work is the rule, so the order of
-#: zero-delay hops decides the completion order.
+#: zero-delay hops decides the completion order, and the example
+#: sweep's rows, whose ``spec_hash`` column pins the spec encoder.
 SCENARIOS = {
     "store_client": _scenario_store_client,
     "federation": _scenario_federation,
     "batched_fleet": _scenario_batched_fleet,
     "tied_timestamps": _scenario_tied_timestamps,
+    "sweep_rows": _scenario_sweep_rows,
 }
 
 
