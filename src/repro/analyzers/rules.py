@@ -18,7 +18,8 @@ DET004    ``id()``/default-``hash`` ordering or tie-breaks (sort keys, heap
 HOT001    classes in declared hot-path modules without ``__slots__`` (or
           ``@dataclass(slots=True)``)
 SPEC001   ``from_dict`` implementations in spec modules that do not reject
-          unknown keys (no ``_check_keys``-style call)
+          unknown keys (no ``repro.specjson.decode`` call, no
+          ``_check_keys``-style call, no delegation to a ``from_dict``)
 PKL001    lambdas/closures stored on ``self`` in modules whose objects
           cross the ``SweepRunner`` pickle boundary
 ========  ==================================================================
@@ -557,16 +558,18 @@ def _spec001(tree: ast.Module, relpath: str, config) -> Iterator[RawFinding]:
                    for pattern in _CHECK_KEYS_PATTERNS):
                 strict = True
                 break
-            if name == "from_dict":
-                # Pure delegation inherits the callee's strictness.
+            if name in ("from_dict", "decode"):
+                # Delegation to another from_dict, or to the strict
+                # spec codec, inherits the callee's strictness.
                 strict = True
                 break
         if not strict:
             yield RawFinding(
                 node.lineno, node.col_offset,
-                "from_dict does not reject unknown keys; call the "
-                "module's _check_keys(cls, data) (or equivalent) so "
-                "misspelled document keys raise instead of vanishing",
+                "from_dict does not reject unknown keys; decode through "
+                "repro.specjson.decode(cls, data) (or an equivalent "
+                "check) so misspelled document keys raise instead of "
+                "vanishing",
             )
 
 

@@ -269,6 +269,16 @@ class TestSpec001FromDict:
                   "        return cls(inner=Inner.from_dict(data))\n")
         assert codes(source, config=SPEC_ONLY) == []
 
+    def test_codec_delegation_clean(self):
+        source = ("from repro.specjson import decode\n"
+                  "class Spec:\n"
+                  "    @classmethod\n"
+                  "    def from_dict(cls, data, path=''):\n"
+                  "        if isinstance(data, str):\n"
+                  "            return cls(name=data)\n"
+                  "        return decode(cls, data, path)\n")
+        assert codes(source, config=SPEC_ONLY) == []
+
 
 class TestPkl001Closures:
     def test_lambda_on_self_flagged(self):
