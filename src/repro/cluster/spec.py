@@ -8,9 +8,10 @@ free function at a time: the same stack, now written down once and
 buildable from JSON (``repro-experiment cluster --spec cluster.json``).
 
 Every spec type round-trips losslessly through ``to_dict`` /
-``from_dict`` (and therefore JSON); deserialization is *strict* —
-an unknown key raises :class:`~repro.errors.ClusterSpecError` naming
-the offending key instead of being silently dropped, because a typo'd
+``from_dict`` (and therefore JSON) via :mod:`repro.specjson`;
+deserialization is *strict* — an unknown key raises
+:class:`~repro.errors.ClusterSpecError` naming the offending key and
+its document path instead of being silently dropped, because a typo'd
 knob that silently reverts to its default is a misconfiguration the
 experiment sweep will never notice.
 
@@ -22,13 +23,14 @@ live objects (devices, scheduler, store, controller) from a spec is
 from __future__ import annotations
 
 import copy
-import json
 import math
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ClusterSpecError
+from repro.specjson import JsonSpec, decode
+from repro.telemetry.analysis import SloObjective
 
 #: Device kinds a :class:`DeviceSpec` may name — one per placement
 #: column of the paper's Figure 1 (the session layer maps each to its
@@ -40,40 +42,6 @@ CALIBRATED_OPS = ("compress", "decompress")
 
 #: Reconfiguration actions a :class:`ReconfigEvent` may schedule.
 RECONFIG_ACTIONS = ("brown-out", "restore", "unplug", "power-cap")
-
-
-def _check_keys(cls: type, data: dict,
-                error: type[Exception] = ClusterSpecError) -> None:
-    """Reject unknown keys loudly instead of silently dropping them.
-
-    ``error`` lets other spec layers (federation) reuse the contract
-    while raising their own hierarchy.
-    """
-    if not isinstance(data, dict):
-        raise error(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
-        )
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise error(
-            f"unknown key(s) {unknown} for {cls.__name__}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert spec values into JSON-serializable shapes
-    (dataclasses become dicts, tuples become lists, dict values are
-    converted in place — override mappings may carry spec objects)."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [to_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: to_jsonable(item) for key, item in value.items()}
-    return value
 
 
 # -- dotted-path overrides -----------------------------------------------------
@@ -196,7 +164,7 @@ def _join_steps(steps: list[str | int]) -> str:
 
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(JsonSpec, error=ClusterSpecError):
     """One fleet member, named by device kind.
 
     ``name`` overrides the device's default name — required when a
@@ -227,19 +195,9 @@ class DeviceSpec:
         """Calibration-cache key: everything that affects device timing."""
         return (self.kind, self.algorithm, self.threads)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviceSpec":
-        _check_keys(cls, data)
-        return cls(
-            kind=data.get("kind", ""),
-            name=data.get("name"),
-            algorithm=data.get("algorithm", "deflate"),
-            threads=data.get("threads"),
-        )
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(JsonSpec, error=ClusterSpecError):
     """Fleet composition plus the shared submission-path knobs."""
 
     devices: tuple[DeviceSpec, ...]
@@ -272,24 +230,9 @@ class FleetSpec:
                 f"choose from {list(CALIBRATED_OPS)}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetSpec":
-        _check_keys(cls, data)
-        return cls(
-            devices=tuple(DeviceSpec.from_dict(entry)
-                          for entry in data.get("devices", ())),
-            spill=(DeviceSpec.from_dict(data["spill"])
-                   if data.get("spill") is not None else None),
-            batch_size=data.get("batch_size", 4),
-            batch_timeout_ns=data.get("batch_timeout_ns", 20_000.0),
-            queue_limit=data.get("queue_limit"),
-            fair_share_tenants=data.get("fair_share_tenants"),
-            ops=tuple(data.get("ops", ("compress",))),
-        )
-
 
 @dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(JsonSpec, error=ClusterSpecError):
     """Admission-control thresholds and EWMA smoothing."""
 
     spill_threshold: float = 0.70
@@ -307,18 +250,9 @@ class AdmissionSpec:
                 f"ewma_alpha {self.ewma_alpha} outside (0, 1]"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdmissionSpec":
-        _check_keys(cls, data)
-        return cls(
-            spill_threshold=data.get("spill_threshold", 0.70),
-            shed_threshold=data.get("shed_threshold", 0.95),
-            ewma_alpha=data.get("ewma_alpha", 1.0),
-        )
-
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(JsonSpec, error=ClusterSpecError):
     """One SLO class: priority tier plus relative deadline budget.
 
     ``deadline_ns`` may be ``inf`` (scavenger traffic with no deadline);
@@ -326,8 +260,8 @@ class SloSpec:
     """
 
     name: str
-    tier: int
-    deadline_ns: float
+    tier: int = 0
+    deadline_ns: float = math.inf
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -357,25 +291,20 @@ class SloSpec:
                         deadline_ns=self.deadline_ns)
 
     @classmethod
-    def from_dict(cls, data: dict | str) -> "SloSpec":
+    def from_dict(cls, data: dict | str, path: str = "") -> "SloSpec":
         # A bare string names one of the standard classes — the short
         # form for hand-written JSON specs.
         if isinstance(data, str):
             return cls.of(data)
-        _check_keys(cls, data)
-        return cls(
-            name=data.get("name", ""),
-            tier=data.get("tier", 0),
-            deadline_ns=data.get("deadline_ns", math.inf),
-        )
+        return decode(cls, data, path)
 
 
 @dataclass(frozen=True)
-class SloShare:
+class SloShare(JsonSpec, error=ClusterSpecError):
     """One weighted entry of an SLO mix."""
 
     slo: SloSpec
-    weight: float
+    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.weight > 0:
@@ -383,17 +312,9 @@ class SloShare:
                 f"SLO-mix weight must be > 0, got {self.weight}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloShare":
-        _check_keys(cls, data)
-        if "slo" not in data:
-            raise ClusterSpecError("SLO-mix entry needs an 'slo' key")
-        return cls(slo=SloSpec.from_dict(data["slo"]),
-                   weight=data.get("weight", 1.0))
-
 
 @dataclass(frozen=True)
-class StoreSpec:
+class StoreSpec(JsonSpec, error=ClusterSpecError):
     """Block-store geometry plus decompressed-block cache sizing.
 
     ``client_window``/``client_think_ns`` declare closed-loop store
@@ -438,26 +359,9 @@ class StoreSpec:
                 f"got {self.client_think_ns}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StoreSpec":
-        _check_keys(cls, data)
-        spec = cls()
-        return cls(
-            block_bytes=data.get("block_bytes", spec.block_bytes),
-            segment_bytes=data.get("segment_bytes"),
-            cache_blocks=data.get("cache_blocks", spec.cache_blocks),
-            ghost_blocks=data.get("ghost_blocks"),
-            read_slo=(SloSpec.from_dict(data["read_slo"])
-                      if "read_slo" in data else spec.read_slo),
-            write_slo=(SloSpec.from_dict(data["write_slo"])
-                       if "write_slo" in data else spec.write_slo),
-            client_window=data.get("client_window"),
-            client_think_ns=data.get("client_think_ns", 0.0),
-        )
 
-
-@dataclass(frozen=True)
-class ReconfigEvent:
+@dataclass(frozen=True, kw_only=True)
+class ReconfigEvent(JsonSpec, error=ClusterSpecError):
     """One scheduled fleet-reconfiguration action.
 
     ``action`` is one of :data:`RECONFIG_ACTIONS`; ``device`` names the
@@ -466,7 +370,7 @@ class ReconfigEvent:
     ``unplug``, and ``budget_w`` is the ``power-cap`` wattage budget.
     """
 
-    at_ns: float
+    at_ns: float = 0.0
     action: str
     device: str | None = None
     speed_factor: float = 1.0
@@ -498,21 +402,9 @@ class ReconfigEvent:
                 f"brown-out speed factor {self.speed_factor} outside (0, 1]"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReconfigEvent":
-        _check_keys(cls, data)
-        return cls(
-            at_ns=data.get("at_ns", 0.0),
-            action=data.get("action", ""),
-            device=data.get("device"),
-            speed_factor=data.get("speed_factor", 1.0),
-            drain=data.get("drain", True),
-            budget_w=data.get("budget_w"),
-        )
-
 
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(JsonSpec, error=ClusterSpecError):
     """What a cluster run records — and monitors — about itself.
 
     ``trace`` turns on per-request span recording into a bounded
@@ -532,7 +424,7 @@ class TelemetrySpec:
     trace: bool = False
     trace_capacity: int = 262_144
     metrics_interval_ns: float | None = None
-    objectives: tuple = ()
+    objectives: tuple[SloObjective, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objectives", tuple(self.objectives))
@@ -558,21 +450,9 @@ class TelemetrySpec:
     def enabled(self) -> bool:
         return self.trace or self.metrics_interval_ns is not None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TelemetrySpec":
-        from repro.telemetry.analysis import SloObjective
-        _check_keys(cls, data)
-        return cls(
-            trace=data.get("trace", False),
-            trace_capacity=data.get("trace_capacity", 262_144),
-            metrics_interval_ns=data.get("metrics_interval_ns"),
-            objectives=tuple(SloObjective.from_dict(entry)
-                             for entry in data.get("objectives", ())),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(JsonSpec, error=ClusterSpecError):
     """The whole cluster, declaratively.
 
     ``slo_mix`` is the default mix clients built from keyword arguments
@@ -615,10 +495,6 @@ class ClusterSpec:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-shaped dict (tuples become lists, specs become dicts)."""
-        return to_jsonable(self)
-
     def with_overrides(self, overrides: dict[str, Any]) -> "ClusterSpec":
         """A copy with dotted-path ``overrides`` applied and re-validated.
 
@@ -630,41 +506,6 @@ class ClusterSpec:
         for path, value in overrides.items():
             apply_override(data, path, value)
         return ClusterSpec.from_dict(data)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterSpec":
-        _check_keys(cls, data)
-        if "fleet" not in data:
-            raise ClusterSpecError("cluster spec needs a 'fleet' section")
-        return cls(
-            fleet=FleetSpec.from_dict(data["fleet"]),
-            policy=data.get("policy", "cost-model"),
-            admission=(AdmissionSpec.from_dict(data["admission"])
-                       if data.get("admission") is not None else None),
-            pending_limit=data.get("pending_limit"),
-            slo_mix=(tuple(SloShare.from_dict(entry)
-                           for entry in data["slo_mix"])
-                     if data.get("slo_mix") is not None else None),
-            store=(StoreSpec.from_dict(data["store"])
-                   if data.get("store") is not None else None),
-            power_budget_w=data.get("power_budget_w"),
-            reconfig=tuple(ReconfigEvent.from_dict(entry)
-                           for entry in data.get("reconfig", ())),
-            telemetry=(TelemetrySpec.from_dict(data["telemetry"])
-                       if data.get("telemetry") is not None else None),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ClusterSpecError(f"cluster spec is not valid JSON: "
-                                   f"{error}") from error
-        return cls.from_dict(data)
 
 
 def default_cluster_spec(policy: str = "cost-model",

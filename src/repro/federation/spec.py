@@ -22,17 +22,12 @@ Two deliberate restrictions keep the merged accounting honest:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from repro.cluster.spec import (
-    ClusterSpec,
-    TelemetrySpec,
-    _check_keys,
-    to_jsonable,
-)
+from repro.cluster.spec import ClusterSpec, TelemetrySpec
 from repro.errors import ConfigurationError, FederationSpecError
 from repro.interconnect.pcie import PcieLinkSpec
+from repro.specjson import JsonSpec, decode
 from repro.sweep.spec import WorkloadSpec
 
 __all__ = [
@@ -48,7 +43,7 @@ ROUTING_POLICIES = ("static-pinning", "least-loaded", "locality-affinity")
 
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(JsonSpec, error=FederationSpecError):
     """One member's attachment to the inter-cluster fabric.
 
     A remote hop over the link costs ``latency_ns`` plus the payload
@@ -100,19 +95,9 @@ class LinkSpec:
         """One-way hop cost for an ``nbytes`` payload."""
         return self.latency_ns + nbytes / self.effective_bandwidth_gbps
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LinkSpec":
-        _check_keys(cls, data, error=FederationSpecError)
-        return cls(
-            latency_ns=data.get("latency_ns", 5_000.0),
-            bandwidth_gbps=data.get("bandwidth_gbps"),
-            pcie_generation=data.get("pcie_generation"),
-            pcie_lanes=data.get("pcie_lanes", 16),
-        )
-
 
 @dataclass(frozen=True)
-class FederationMemberSpec:
+class FederationMemberSpec(JsonSpec, error=FederationSpecError):
     """One named member cluster and its fabric attachment."""
 
     name: str
@@ -140,25 +125,9 @@ class FederationMemberSpec:
                 f"global router fronts scheduler submission only"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FederationMemberSpec":
-        _check_keys(cls, data, error=FederationSpecError)
-        for key in ("name", "cluster"):
-            if key not in data:
-                raise FederationSpecError(
-                    f"federation member needs a {key!r} key"
-                )
-        return cls(
-            name=data["name"],
-            cluster=ClusterSpec.from_dict(data["cluster"]),
-            link=(LinkSpec.from_dict(data["link"])
-                  if data.get("link") is not None
-                  else LinkSpec(bandwidth_gbps=12.5)),
-        )
-
 
 @dataclass(frozen=True)
-class FederationSpec:
+class FederationSpec(JsonSpec, error=FederationSpecError):
     """A whole federated serving experiment, declaratively.
 
     ``routing`` picks the global router policy:
@@ -221,48 +190,23 @@ class FederationSpec:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
-
     @classmethod
-    def from_dict(cls, data: dict) -> "FederationSpec":
-        _check_keys(cls, data, error=FederationSpecError)
-        if "members" not in data:
-            raise FederationSpecError(
-                "federation spec needs a 'members' list"
-            )
-        try:
-            workload = (WorkloadSpec.from_dict(data["workload"])
-                        if data.get("workload") is not None
-                        else WorkloadSpec())
-            telemetry = (TelemetrySpec.from_dict(data["telemetry"])
-                         if data.get("telemetry") is not None else None)
-        except ValueError as error:
-            # Sweep/cluster spec errors double as ValueError; re-raise
-            # in the federation hierarchy with the context preserved.
-            raise FederationSpecError(str(error)) from error
-        return cls(
-            members=tuple(FederationMemberSpec.from_dict(entry)
-                          for entry in data["members"]),
-            routing=data.get("routing", "least-loaded"),
-            affinity_threshold=data.get("affinity_threshold", 0.75),
-            workload=workload,
-            telemetry=telemetry,
-            root_seed=data.get("root_seed", 1234),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FederationSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise FederationSpecError(
-                f"federation spec is not valid JSON: {error}"
-            ) from error
-        return cls.from_dict(data)
+    def from_dict(cls, data: dict, path: str = "") -> "FederationSpec":
+        # Sweep/cluster spec errors from the workload and telemetry
+        # sections double as ValueError; re-raise them in the
+        # federation hierarchy with the context preserved.  Member
+        # errors stay unwrapped.
+        sections = {"workload": WorkloadSpec, "telemetry": TelemetrySpec}
+        if isinstance(data, dict):
+            try:
+                data = {**data, **{
+                    key: section.from_dict(data[key],
+                                           f"{path}.{key}".lstrip("."))
+                    for key, section in sections.items()
+                    if data.get(key) is not None}}
+            except ValueError as error:
+                raise FederationSpecError(str(error)) from error
+        return decode(cls, data, path)
 
 
 def example_federation_spec() -> FederationSpec:

@@ -32,20 +32,15 @@ module.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster.spec import (
-    ClusterSpec,
-    _check_keys,
-    apply_override,
-    to_jsonable,
-)
+from repro.cluster.spec import ClusterSpec, apply_override
 from repro.errors import ClusterSpecError, SweepSpecError, WorkloadError
+from repro.specjson import JsonSpec, decode, loads, to_jsonable
 from repro.workloads.population import DiurnalSpec, TenantPopulationSpec
 
 #: Traffic shapes a :class:`WorkloadSpec` may declare.
@@ -59,7 +54,7 @@ _LABEL_TYPES = (str, int, float, bool)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(JsonSpec, error=ClusterSpecError):
     """What traffic drives one cluster run.
 
     ``mode`` picks the client shape (``open-loop`` Poisson stream,
@@ -140,29 +135,19 @@ class WorkloadSpec:
                 f"open-loop workloads only; mode is {self.mode!r}"
             )
 
-    def to_dict(self) -> dict:
-        return to_jsonable(self)
-
     @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        _check_keys(cls, data)
-        defaults = cls()
-        kwargs = {f.name: data.get(f.name, getattr(defaults, f.name))
-                  for f in dataclasses.fields(cls)}
+    def from_dict(cls, data: dict, path: str = "") -> "WorkloadSpec":
+        # Population/diurnal sections raise WorkloadError; a workload
+        # document is a sweep description, so re-raise in that
+        # hierarchy.
         try:
-            if isinstance(kwargs["population"], dict):
-                kwargs["population"] = \
-                    TenantPopulationSpec.from_dict(kwargs["population"])
-            if isinstance(kwargs["diurnal"], dict):
-                kwargs["diurnal"] = \
-                    DiurnalSpec.from_dict(kwargs["diurnal"])
+            return decode(cls, data, path)
         except WorkloadError as error:
             raise SweepSpecError(str(error)) from error
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class AxisPoint:
+class AxisPoint(JsonSpec, error=ClusterSpecError):
     """One labelled point of an axis: a set of dotted-path overrides.
 
     Override values are normalized to JSON shapes at construction
@@ -193,18 +178,9 @@ class AxisPoint:
                 )
         object.__setattr__(self, "overrides", to_jsonable(self.overrides))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AxisPoint":
-        _check_keys(cls, data)
-        if "label" not in data or "overrides" not in data:
-            raise SweepSpecError(
-                "axis point needs 'label' and 'overrides' keys"
-            )
-        return cls(label=data["label"], overrides=dict(data["overrides"]))
-
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(JsonSpec, error=ClusterSpecError):
     """One named sweep dimension: an ordered list of labelled points.
 
     Build one with :meth:`over` (one dotted path, one point per value),
@@ -290,20 +266,9 @@ class SweepAxis:
             AxisPoint(label=label, overrides=dict(zip(paths, row)))
             for label, row in zip(labels, rows)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepAxis":
-        _check_keys(cls, data)
-        if "name" not in data:
-            raise SweepSpecError("axis needs a 'name' key")
-        return cls(
-            name=data["name"],
-            points=tuple(AxisPoint.from_dict(entry)
-                         for entry in data.get("points", ())),
-        )
-
 
 @dataclass(frozen=True)
-class SweepFilter:
+class SweepFilter(JsonSpec, error=ClusterSpecError):
     """Excludes grid points whose coordinates match ``when``.
 
     ``when`` maps axis names to a label or a list of labels; a point
@@ -328,13 +293,6 @@ class SweepFilter:
             elif value != selector:
                 return False
         return True
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepFilter":
-        _check_keys(cls, data)
-        if "when" not in data:
-            raise SweepSpecError("filter needs a 'when' key")
-        return cls(when=dict(data["when"]))
 
 
 @dataclass(frozen=True)
@@ -370,7 +328,7 @@ def document_hash(document: dict) -> str:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(JsonSpec, error=ClusterSpecError):
     """A whole experiment, declaratively: base document, axes, filters.
 
     ``root_seed`` anchors every point's stream seed (see
@@ -479,7 +437,7 @@ class SweepSpec:
                         ) from error
             workload_data = document.pop("workload")
             try:
-                workload = WorkloadSpec.from_dict(workload_data)
+                workload = WorkloadSpec.from_dict(workload_data, "workload")
                 cluster = ClusterSpec.from_dict(document)
             except (ClusterSpecError, SweepSpecError) as error:
                 raise SweepSpecError(
@@ -502,48 +460,11 @@ class SweepSpec:
             ))
         return tuple(points)
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster": self.cluster.to_dict(),
-            "workload": self.workload.to_dict(),
-            "axes": to_jsonable(self.axes),
-            "filters": to_jsonable(self.filters),
-            "root_seed": self.root_seed,
-            "replicates": self.replicates,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        _check_keys(cls, data)
-        if "cluster" not in data:
-            raise SweepSpecError("sweep spec needs a 'cluster' section")
-        return cls(
-            cluster=ClusterSpec.from_dict(data["cluster"]),
-            workload=(WorkloadSpec.from_dict(data["workload"])
-                      if data.get("workload") is not None
-                      else WorkloadSpec()),
-            axes=tuple(SweepAxis.from_dict(entry)
-                       for entry in data.get("axes", ())),
-            filters=tuple(SweepFilter.from_dict(entry)
-                          for entry in data.get("filters", ())),
-            root_seed=data.get("root_seed", 1234),
-            replicates=data.get("replicates", 1),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SweepSpecError(
-                f"sweep spec is not valid JSON: {error}"
-            ) from error
-        return cls.from_dict(data)
+        # Key errors are ClusterSpecErrors, shared with the cluster
+        # layer; text that is not JSON at all is a sweep error.
+        return loads(cls, text, SweepSpecError)
 
 
 def _product(axes_points: list[tuple[AxisPoint, ...]]):
