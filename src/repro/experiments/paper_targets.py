@@ -1,7 +1,8 @@
 """The paper's reported numbers, as calibration/validation targets.
 
-Collected from the text of §5 (EXPERIMENTS.md records our measured
-values against these).  All throughputs GB/s, latencies us, ratios as
+Collected from the text of §5.  These are the targets the
+paper-fidelity scorecard (ROADMAP item 4) will check measured figures
+against.  All throughputs GB/s, latencies us, ratios as
 compressed/original fractions.
 """
 
