@@ -200,8 +200,8 @@ class FederationSpec(JsonSpec, error=FederationSpecError):
         if isinstance(data, dict):
             try:
                 data = {**data, **{
-                    key: section.from_dict(data[key],
-                                           f"{path}.{key}".lstrip("."))
+                    key: section.from_dict(
+                        data[key], f"{path}.{key}" if path else key)
                     for key, section in sections.items()
                     if data.get(key) is not None}}
             except ValueError as error:

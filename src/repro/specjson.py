@@ -56,14 +56,13 @@ class JsonSpec:
     and ``to_dict``/``to_json``.
 
     ``class X(JsonSpec, error=E)`` names the error class the codec
-    raises for ``X``'s documents.  A subclass overrides ``from_dict``
-    only to add behaviour around :func:`decode` (a shorthand, or
-    re-raising a nested error in its own hierarchy).
+    raises for ``X``'s documents (``X.spec_error``).  A subclass
+    overrides ``from_dict`` only to add behaviour around
+    :func:`decode` (a shorthand, or re-raising a nested error in its
+    own hierarchy).
     """
 
     __slots__ = ()
-
-    spec_error: type[Exception] = ValueError
 
     def __init_subclass__(cls, error: type[Exception] | None = None,
                           **kwargs: Any) -> None:
@@ -153,6 +152,9 @@ def decode(cls: type, data: Any, path: str = "") -> Any:
 
 def _value(hint: Any, value: Any, path: str,
            error: type[Exception]) -> Any:
+    """Decode one field value.  A value that is already an instance of
+    its spec type passes through, so an override may decode a section
+    itself before handing the document on."""
     if isinstance(hint, type) and issubclass(hint, JsonSpec):
         if isinstance(value, hint):
             return value
