@@ -22,8 +22,8 @@ The rules are the same for every type:
   offending mapping, e.g. ``fleet.devices[0]: unknown key(s) ...``.
 
 Encoding is :func:`to_jsonable`: dataclasses become dicts in field
-order and tuples become lists, so the bytes ``to_json`` emits (and the
-sweep layer's ``spec_hash`` of them) depend only on the field order.
+order and tuples become lists, so the bytes ``to_json`` emits depend
+only on the field declarations.
 """
 
 from __future__ import annotations
