@@ -173,8 +173,6 @@ class TestDottedPaths:
                            match=r"^axes\[1\]: missing required key 'name' "
                                  r"for SweepAxis"):
             SweepSpec.from_dict(data)
-        with pytest.raises(FederationSpecError, match="members"):
-            FederationSpec.from_dict({"routing": "least-loaded"})
 
     def test_list_field_rejects_scalar(self):
         with pytest.raises(ClusterSpecError,
@@ -217,10 +215,6 @@ class TestDefaultsAndNulls:
         data = example_sweep_spec().to_dict()
         data["workload"] = None
         assert SweepSpec.from_dict(data).workload == WorkloadSpec()
-
-    def test_slo_shorthand(self):
-        spec = StoreSpec.from_dict({"read_slo": "interactive"})
-        assert spec.read_slo == SloSpec.of("interactive")
 
     def test_checked_in_federation_document(self):
         text = (EXAMPLES_DIR / "federation.json").read_text()
