@@ -10,16 +10,14 @@ backpressure into the scheduler, making the deadline run exercise the
 pending-queue machinery rather than bypassing it.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.cluster import Cluster, ClusterSpec, default_cluster_spec
 from repro.experiments.slo_degradation import BATCH_4MS, INTERACTIVE_150US
 from repro.profiling import format_table
-from repro.service import (
-    OpenLoopStream,
-    calibrated,
-    default_fleet,
-    run_offload_service,
-)
+from repro.service import OpenLoopStream
 
 _LOAD_GBPS = 48.0
 _DURATION_NS = 1.5e6
@@ -29,8 +27,12 @@ _QUEUE_LIMIT = 6
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Calibrate once; every run reuses the same cost models."""
-    return calibrated(default_fleet())
+    """Calibrate once: the cost models are cached process-wide, so
+    every timed run reuses them."""
+    fleet = dataclasses.replace(default_cluster_spec(spill=False).fleet,
+                                queue_limit=_QUEUE_LIMIT)
+    Cluster.from_spec(ClusterSpec(fleet=fleet))
+    return fleet
 
 
 def _stream():
@@ -41,8 +43,9 @@ def _stream():
 
 
 def _run(policy, fleet):
-    return run_offload_service(_stream(), policy=policy, fleet=fleet,
-                               queue_limit=_QUEUE_LIMIT)
+    cluster = Cluster.from_spec(ClusterSpec(fleet=fleet, policy=policy))
+    cluster.open_loop(_stream())
+    return cluster.run().service
 
 
 def test_bench_dispatch_flat(benchmark, fleet):

@@ -9,13 +9,9 @@ policy's throughput at equal offered load.
 
 import pytest
 
+from repro.cluster import Cluster, ClusterSpec, default_cluster_spec
 from repro.profiling import format_table
-from repro.service import (
-    OpenLoopStream,
-    calibrated,
-    default_fleet,
-    run_offload_service,
-)
+from repro.service import OpenLoopStream
 
 #: Overload point for the mixed fleet (its ASIC+CPU capacity is lower),
 #: so policy quality shows up as completed throughput, not just latency.
@@ -26,8 +22,11 @@ _SEED = 5
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Calibrate once; every run reuses the same cost models."""
-    return calibrated(default_fleet())
+    """Calibrate once: the cost models are cached process-wide, so
+    every timed run reuses them."""
+    fleet = default_cluster_spec(spill=False).fleet
+    Cluster.from_spec(ClusterSpec(fleet=fleet))
+    return fleet
 
 
 def _stream():
@@ -35,10 +34,15 @@ def _stream():
                           tenants=4, seed=_SEED)
 
 
+def _serve(policy, fleet):
+    cluster = Cluster.from_spec(ClusterSpec(fleet=fleet, policy=policy))
+    cluster.open_loop(_stream())
+    return cluster.run().service
+
+
 def test_bench_service_loop_rate(benchmark, fleet):
     """Requests/sec the DES loop sustains under cost-model dispatch."""
-    report = benchmark(run_offload_service, _stream(),
-                       policy="cost-model", fleet=fleet)
+    report = benchmark(_serve, "cost-model", fleet)
     assert report.completed > 0
     benchmark.extra_info["simulated_requests"] = report.offered
     benchmark.extra_info["completed_gbps"] = round(report.completed_gbps, 2)
@@ -47,7 +51,7 @@ def test_bench_service_loop_rate(benchmark, fleet):
 def test_bench_policy_throughput(fleet, show_tables):
     """Cost-model >= best static policy at equal offered load."""
     reports = {
-        policy: run_offload_service(_stream(), policy=policy, fleet=fleet)
+        policy: _serve(policy, fleet)
         for policy in ("static", "round-robin", "shortest-queue",
                        "cost-model")
     }

@@ -9,10 +9,14 @@ placement mix than compress traffic under cost-model dispatch.
 
 import pytest
 
+from repro.cluster import (
+    Cluster,
+    ClusterSpec,
+    StoreSpec,
+    default_cluster_spec,
+)
 from repro.experiments.store_scaling import placement_shift
 from repro.profiling import format_table
-from repro.service import calibrated_ops, default_fleet
-from repro.store import run_block_store
 from repro.workloads import MixedStream
 
 #: Past the ASIC tiers' combined decompress capacity at 80% reads, so
@@ -24,8 +28,11 @@ _SEED = 11
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Calibrate per-op models once; every run reuses the same pairs."""
-    return calibrated_ops(default_fleet())
+    """Calibrate per-op models once: they are cached process-wide, so
+    every timed run reuses them."""
+    fleet = default_cluster_spec(spill=False, store=True).fleet
+    Cluster.from_spec(ClusterSpec(fleet=fleet))
+    return fleet
 
 
 def _stream(read_fraction=0.8):
@@ -34,10 +41,17 @@ def _stream(read_fraction=0.8):
                        block_bytes=65536, tenants=4, seed=_SEED)
 
 
+def _serve(fleet, cache_blocks):
+    cluster = Cluster.from_spec(ClusterSpec(
+        fleet=fleet, policy="cost-model",
+        store=StoreSpec(block_bytes=65536, cache_blocks=cache_blocks)))
+    cluster.store_client(_stream())
+    return cluster.run().store
+
+
 def test_bench_store_loop_rate(benchmark, fleet):
     """Operations/sec the store's DES loop sustains end to end."""
-    report = benchmark(run_block_store, _stream(),
-                       policy="cost-model", fleet=fleet, cache_blocks=256)
+    report = benchmark(_serve, fleet, 256)
     assert report.reads > 0 and report.writes > 0
     benchmark.extra_info["simulated_ops"] = report.reads + report.writes
     benchmark.extra_info["read_gbps"] = round(report.read_gbps, 2)
@@ -46,8 +60,7 @@ def test_bench_store_loop_rate(benchmark, fleet):
 def test_bench_cache_cuts_read_tail(fleet, show_tables):
     """Cache hits measurably reduce p99 read latency at equal load."""
     reports = {
-        cache: run_block_store(_stream(), policy="cost-model", fleet=fleet,
-                               cache_blocks=cache)
+        cache: _serve(fleet, cache)
         for cache in (0, 64, 256)
     }
     if show_tables:
@@ -60,8 +73,7 @@ def test_bench_cache_cuts_read_tail(fleet, show_tables):
 
 def test_bench_decompress_shifts_placement(fleet, show_tables):
     """The read path's placement mix differs from the write path's."""
-    report = run_block_store(_stream(), policy="cost-model", fleet=fleet,
-                             cache_blocks=64)
+    report = _serve(fleet, 64)
     assert report.service is not None
     if show_tables:
         print("\n" + format_table(report.service.op_breakdown,

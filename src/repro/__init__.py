@@ -51,12 +51,10 @@ _LAZY_EXPORTS = {
     "default_fleet": "repro.service",
     "make_policy": "repro.service",
     "make_slo_class": "repro.service",
-    "run_offload_service": "repro.service",
     "BlockCache": "repro.store",
     "BlockMap": "repro.store",
     "CompressedBlockStore": "repro.store",
     "StoreReport": "repro.store",
-    "run_block_store": "repro.store",
     "MixedStream": "repro.workloads",
 }
 

@@ -8,7 +8,9 @@ schedule armed — and hands out client handles
 (:meth:`Cluster.open_loop`, :meth:`Cluster.closed_loop`,
 :meth:`Cluster.store_client`).  :meth:`Cluster.run` drives the
 simulation to completion and returns the unified
-:class:`~repro.cluster.result.RunResult`.
+:class:`~repro.cluster.result.RunResult`.  The run loop underneath it
+(:func:`_run_loop`) is also the one a
+:class:`~repro.federation.session.Federation` runs on.
 
 Device cost-model calibration runs the real codecs, so it is by far
 the most expensive part of building a cluster; calibrated models are
@@ -114,14 +116,123 @@ def calibrated_tables(spec: DeviceSpec, device: CdpuDevice,
     return tables
 
 
+def _new_simulator(sanitize: bool | None) -> Simulator:
+    """The event kernel a session runs on.
+
+    ``sanitize=True`` gives a
+    :class:`~repro.analyzers.runtime.SanitizedSimulator`, which checks
+    engine invariants while keeping results byte-identical; ``None``
+    defers to the ``REPRO_SANITIZE`` environment variable.
+    """
+    if sanitize is None:
+        from repro.analyzers.runtime import sanitize_from_env
+        sanitize = sanitize_from_env()
+    if sanitize:
+        from repro.analyzers.runtime import SanitizedSimulator
+        return SanitizedSimulator()
+    return Simulator()
+
+
+# -- the serving run loop ------------------------------------------------------
+
+
+def _run_loop(session, clients: list[ClusterClient],
+              services: list[OffloadService],
+              register_gauges: Callable[[], None], *,
+              store: CompressedBlockStore | None = None,
+              profiler: WallClockProfiler | None = None) -> float:
+    """Drive ``clients`` on ``session.sim`` to completion; return the
+    measurement horizon.
+
+    The one run loop behind :meth:`Cluster.run` and
+    :meth:`repro.federation.session.Federation.run`.  ``services`` are
+    every member :class:`OffloadService` sharing the simulator (one for
+    a cluster, one per member for a federation).  The horizon is the
+    longest client duration; ``session`` (which carries ``sim`` and
+    ``telemetry``) is marked ran only once the metrics interval has
+    been checked against it.  Event order: gauges are registered, then
+    the sampler is spawned, then the clients start.
+    """
+    sim = session.sim
+    horizon = max(client.duration_ns for client in clients)
+    metrics = session.telemetry.metrics
+    if metrics is not None and metrics.interval_ns > horizon:
+        raise TelemetryError(
+            f"TelemetrySpec.metrics_interval_ns "
+            f"({metrics.interval_ns:g} ns) exceeds the run horizon "
+            f"({horizon:g} ns); no sample would ever be taken — "
+            f"shorten the interval or lengthen the clients"
+        )
+    session._ran = True
+    for service in services:
+        service.measure_until_ns = horizon
+    if store is not None:
+        store.measure_until_ns = horizon
+    if metrics is not None:
+        register_gauges()
+        sim.spawn(_metrics_sampler(sim, metrics, horizon))
+    active = len(clients)
+
+    def client_finished(client: ClusterClient) -> None:
+        nonlocal active
+        active -= 1
+        if active == 0:
+            # The last arrival stream has ended: flush partial batches
+            # and arm drain mode so late dispatches keep flushing.
+            for service in services:
+                service.flush()
+
+    if profiler is not None:
+        # ``engine`` owns the whole window; the wrapped
+        # scheduler/store/telemetry sections carve their self-time
+        # out of it, so the residual is the event loop proper.
+        profiler.begin()
+        profiler.push("engine")
+    try:
+        for client in clients:
+            client.start(on_done=client_finished)
+        sim.run()
+        # Defensive: a timer-less batch config can strand closed-loop
+        # windows on a partial batch; flush and keep running as long
+        # as it makes progress.
+        while active > 0:
+            before = sim.now
+            for service in services:
+                service.flush()
+            sim.run()
+            if sim.now == before:
+                break
+    finally:
+        if profiler is not None:
+            profiler.pop()
+            profiler.end()
+    # Sanitized runs audit waiter queues once the drain settles; a
+    # plain Simulator has no finish() and skips this entirely.
+    finish = getattr(sim, "finish", None)
+    if finish is not None:
+        finish()
+    return horizon
+
+
+def _metrics_sampler(sim: Simulator, registry, horizon: float):
+    """Tick the metrics registry until the measurement window ends.
+
+    Bounded by ``horizon`` so the simulation's event queue still
+    drains once the clients stop submitting.
+    """
+    interval = registry.interval_ns
+    while sim.now + interval <= horizon:
+        yield sim.timeout(interval)
+        registry.sample(sim.now)
+
+
 class Cluster:
     """A live serving cluster: simulator, fleet, scheduler, clients.
 
     Build one from a spec (:meth:`from_spec`) or wrap pre-built parts
-    (the constructor) — the latter is what the deprecated
-    ``run_offload_service`` / ``run_block_store`` shims and the
-    stub-device unit tests use.  Attach one or more clients, then call
-    :meth:`run` exactly once.
+    (the constructor) — the latter is what the stub-device unit tests
+    use.  Attach one or more clients, then call :meth:`run` exactly
+    once.
     """
 
     def __init__(self, sim: Simulator, service: OffloadService,
@@ -141,7 +252,6 @@ class Cluster:
         if telemetry.enabled:
             self._wire_telemetry()
         self._clients: list[ClusterClient] = []
-        self._active_clients = 0
         self._ran = False
         self._profiler: WallClockProfiler | None = None
 
@@ -200,25 +310,16 @@ class Cluster:
                   telemetry: Telemetry | None = None) -> "Cluster":
         """Assemble simulator + fleet + scheduler (+ store) from a spec.
 
-        ``sanitize=True`` builds the cluster on a
-        :class:`~repro.analyzers.runtime.SanitizedSimulator`, which
-        validates engine invariants while keeping results
-        byte-identical; ``None`` (default) defers to the
-        ``REPRO_SANITIZE`` environment variable.
+        ``sanitize`` picks the simulator as :func:`_new_simulator`
+        does: ``True`` checks engine invariants with byte-identical
+        results, ``None`` (default) defers to ``REPRO_SANITIZE``.
 
         ``sim``/``telemetry`` let a federated session assemble several
         member clusters on one shared simulator and one (scoped)
         telemetry sink; standalone callers leave both ``None``.
         """
         if sim is None:
-            if sanitize is None:
-                from repro.analyzers.runtime import sanitize_from_env
-                sanitize = sanitize_from_env()
-            if sanitize:
-                from repro.analyzers.runtime import SanitizedSimulator
-                sim = SanitizedSimulator()
-            else:
-                sim = Simulator()
+            sim = _new_simulator(sanitize)
         fleet_spec = spec.fleet
         entries = []
         for device_spec in fleet_spec.devices:
@@ -403,13 +504,6 @@ class Cluster:
 
     # -- running ---------------------------------------------------------------
 
-    def _client_finished(self, client: ClusterClient) -> None:
-        self._active_clients -= 1
-        if self._active_clients == 0:
-            # The last arrival stream has ended: flush partial batches
-            # and arm drain mode so late dispatches keep flushing.
-            self.service.flush()
-
     def run(self) -> RunResult:
         """Drive every attached client to completion and report.
 
@@ -426,52 +520,10 @@ class Cluster:
                 "no clients attached; call open_loop()/closed_loop()/"
                 "store_client() before run()"
             )
-        horizon = max(client.duration_ns for client in self._clients)
-        metrics = self.telemetry.metrics
-        if metrics is not None and metrics.interval_ns > horizon:
-            raise TelemetryError(
-                f"TelemetrySpec.metrics_interval_ns "
-                f"({metrics.interval_ns:g} ns) exceeds the run horizon "
-                f"({horizon:g} ns); no sample would ever be taken — "
-                f"shorten the interval or lengthen the clients"
-            )
-        self._ran = True
-        self.service.measure_until_ns = horizon
-        if self.store is not None:
-            self.store.measure_until_ns = horizon
-        if metrics is not None:
-            self._register_default_gauges()
-            self.sim.spawn(self._metrics_sampler(horizon))
-        self._active_clients = len(self._clients)
         profiler = self._profiler
-        if profiler is not None:
-            # ``engine`` owns the whole window; the wrapped
-            # scheduler/store/telemetry sections carve their self-time
-            # out of it, so the residual is the event loop proper.
-            profiler.begin()
-            profiler.push("engine")
-        try:
-            for client in self._clients:
-                client.start(on_done=self._client_finished)
-            self.sim.run()
-            # Defensive: a timer-less batch config can strand
-            # closed-loop windows on a partial batch; flush and keep
-            # running as long as it makes progress.
-            while self._active_clients > 0:
-                before = self.sim.now
-                self.service.flush()
-                self.sim.run()
-                if self.sim.now == before:
-                    break
-        finally:
-            if profiler is not None:
-                profiler.pop()
-                profiler.end()
-        # Sanitized runs audit waiter queues once the drain settles; a
-        # plain Simulator has no finish() and skips this entirely.
-        finish = getattr(self.sim, "finish", None)
-        if finish is not None:
-            finish()
+        horizon = _run_loop(self, self._clients, [self.service],
+                            self._register_default_gauges,
+                            store=self.store, profiler=profiler)
         telemetry_report = None
         if self.telemetry.enabled:
             telemetry_report = self.telemetry.report()
@@ -540,19 +592,7 @@ class Cluster:
             ))
         return objectives
 
-    # -- telemetry sampling ----------------------------------------------------
-
-    def _metrics_sampler(self, horizon: float):
-        """Tick the metrics registry until the measurement window ends.
-
-        Bounded by ``horizon`` so the simulation's event queue still
-        drains once the clients stop submitting.
-        """
-        registry = self.telemetry.metrics
-        interval = registry.interval_ns
-        while self.sim.now + interval <= horizon:
-            yield self.sim.timeout(interval)
-            registry.sample(self.sim.now)
+    # -- telemetry gauges ------------------------------------------------------
 
     def _fleet_keyed(self) -> list[tuple[str, Any]]:
         """Every fleet member (spill last) with unique gauge keys."""

@@ -8,10 +8,12 @@ sink), puts a :class:`~repro.federation.router.GlobalRouter` in front
 of the member schedulers, and drives the federation-wide open-loop
 stream — heavy-tailed population and diurnal modulation included —
 through an ordinary :class:`~repro.cluster.clients.OpenLoopClient`
-pointed at the router.  :meth:`Federation.run` mirrors
-:meth:`~repro.cluster.session.Cluster.run` (measurement horizon,
-gauges + sampler, defensive drain, sanitizer finish hook) and returns
-a :class:`~repro.federation.result.FederationResult` whose merged
+pointed at the router.  :meth:`Federation.run` runs on the cluster
+session's run loop (measurement horizon, sampler, end-of-stream flush
+across every member, drain, sanitizer finish hook) and adds only what
+a federation alone has: the router-driven client, its gauges and the
+member-report merge.  It returns a
+:class:`~repro.federation.result.FederationResult` whose merged
 :class:`~repro.cluster.result.RunResult` feeds every existing table,
 export and health path.
 """
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 from repro.cluster.clients import OpenLoopClient
 from repro.cluster.result import RunResult
-from repro.cluster.session import Cluster
-from repro.errors import FederationError, TelemetryError
+from repro.cluster.session import Cluster, _new_simulator, _run_loop
+from repro.errors import FederationError
 from repro.federation.result import FederationResult, merge_service_reports
 from repro.federation.router import GlobalRouter
 from repro.federation.spec import FederationSpec
@@ -51,20 +53,16 @@ class Federation:
             telemetry=telemetry,
         )
         self._ran = False
-        self._driver_active = False
 
     @classmethod
     def from_spec(cls, spec: FederationSpec,
                   *, sanitize: bool | None = None) -> "Federation":
-        """Assemble the shared simulator, members, telemetry, router."""
-        if sanitize is None:
-            from repro.analyzers.runtime import sanitize_from_env
-            sanitize = sanitize_from_env()
-        if sanitize:
-            from repro.analyzers.runtime import SanitizedSimulator
-            sim: Simulator = SanitizedSimulator()
-        else:
-            sim = Simulator()
+        """Assemble the shared simulator, members, telemetry, router.
+
+        ``sanitize`` picks the simulator as in
+        :meth:`~repro.cluster.session.Cluster.from_spec`.
+        """
+        sim = _new_simulator(sanitize)
         telemetry = (Telemetry(spec.telemetry)
                      if spec.telemetry is not None else DISABLED)
         clusters = [
@@ -89,49 +87,16 @@ class Federation:
             raise FederationError(
                 "federation already ran; build a new one for another run"
             )
-        self._ran = True
         from repro.sweep.runner import build_open_loop_stream
         workload = self.spec.workload
         stream = build_open_loop_stream(
             workload, seed=self.spec.root_seed + workload.seed_offset)
         driver = OpenLoopClient(self.router, stream, name="federated")
-        horizon = stream.duration_ns
-        metrics = self.telemetry.metrics
-        if metrics is not None and metrics.interval_ns > horizon:
-            raise TelemetryError(
-                f"TelemetrySpec.metrics_interval_ns "
-                f"({metrics.interval_ns:g} ns) exceeds the run horizon "
-                f"({horizon:g} ns); no sample would ever be taken"
-            )
-        for _, cluster in self.clusters:
-            cluster.service.measure_until_ns = horizon
-        if metrics is not None:
-            self._register_gauges()
-            self.sim.spawn(self._metrics_sampler(horizon))
-        self._driver_active = True
-        driver.start(on_done=self._driver_finished)
-        self.sim.run()
-        # Defensive drain, mirroring Cluster.run: keep flushing while
-        # the simulation still makes progress.
-        while self._driver_active:
-            before = self.sim.now
-            for _, cluster in self.clusters:
-                cluster.service.flush()
-            self.sim.run()
-            if self.sim.now == before:
-                break
-        finish = getattr(self.sim, "finish", None)
-        if finish is not None:
-            finish()
+        horizon = _run_loop(
+            self, [driver],
+            [cluster.service for _, cluster in self.clusters],
+            self._register_gauges)
         return self._report(driver, horizon)
-
-    def _driver_finished(self, client) -> None:
-        # The federation-wide arrival stream ended: flush every
-        # member's partial batches so buffered work is not stranded on
-        # batch timers that will never be joined.
-        self._driver_active = False
-        for _, cluster in self.clusters:
-            cluster.service.flush()
 
     # -- telemetry -------------------------------------------------------------
 
@@ -150,13 +115,6 @@ class Federation:
             "remote_fraction",
             lambda: (sum(router.remote) / sum(router.routed)
                      if sum(router.routed) else 0.0))
-
-    def _metrics_sampler(self, horizon: float):
-        registry = self.telemetry.metrics
-        interval = registry.interval_ns
-        while self.sim.now + interval <= horizon:
-            yield self.sim.timeout(interval)
-            registry.sample(self.sim.now)
 
     # -- reporting -------------------------------------------------------------
 

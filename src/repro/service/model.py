@@ -255,7 +255,7 @@ def calibrated_ops(
 
     The returned ``(device, {op: model})`` pairs plug straight into
     :class:`~repro.service.fleet.FleetDevice` /
-    :func:`~repro.service.offload.run_offload_service`, so decompress
+    :func:`~repro.service.offload.build_fleet`, so decompress
     requests are priced by a decompress-calibrated model instead of
     being silently costed as compress.
     """

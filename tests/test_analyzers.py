@@ -413,7 +413,7 @@ class TestSanitizedSimulator:
         assert sim.entries_checked > 0
 
     def test_results_match_plain_simulator(self):
-        def drive(sim):
+        def simulate(sim):
             log = []
 
             def worker(sim, delay):
@@ -425,7 +425,7 @@ class TestSanitizedSimulator:
             sim.run()
             return log
 
-        assert drive(Simulator()) == drive(SanitizedSimulator())
+        assert simulate(Simulator()) == simulate(SanitizedSimulator())
 
     def test_malformed_entry_shape_raises(self):
         from heapq import heappush

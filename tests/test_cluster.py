@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from service_stubs import StubDevice, flat_model
+from service_stubs import StubDevice, flat_model, stub_cluster
 from repro.cluster import (
     AdmissionSpec,
     Cluster,
@@ -152,18 +152,6 @@ class TestSpecValidation:
     def test_build_device_honors_name_override(self):
         device = build_device(DeviceSpec("dpzip", name="dpzip-east"))
         assert device.name == "dpzip-east"
-
-
-def stub_cluster(per_byte=(0.01, 0.1), queue_limit=4, policy="cost-model",
-                 **service_kwargs):
-    """Cluster over stub devices, built from parts (no calibration)."""
-    sim = Simulator()
-    fleet = [FleetDevice(sim, StubDevice(name=f"dev{i}"),
-                         flat_model(engine_per_byte_ns=per_byte[i]),
-                         queue_limit=queue_limit, batch_size=1)
-             for i in range(len(per_byte))]
-    service = OffloadService(sim, fleet, policy, **service_kwargs)
-    return Cluster(sim, service)
 
 
 class TestClosedLoopClient:

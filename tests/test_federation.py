@@ -8,6 +8,7 @@ events, so crash/timeout/requeue paths are exercised deterministically
 instead of racing the scheduler.
 """
 
+import dataclasses
 import json
 import socket
 import threading
@@ -15,6 +16,7 @@ import threading
 import pytest
 
 from repro.cluster import (
+    Cluster,
     ClusterSpec,
     DeviceSpec,
     FleetSpec,
@@ -27,6 +29,7 @@ from repro.errors import (
     FederationSpecError,
     SweepError,
     SweepSpecError,
+    TelemetryError,
     WorkloadError,
 )
 from repro.federation import (
@@ -54,23 +57,24 @@ CHEAP_FLEET = FleetSpec(
 )
 
 
-def cheap_member(name: str, latency_ns: float = 1_000.0
-                 ) -> FederationMemberSpec:
+def cheap_member(name: str, latency_ns: float = 1_000.0,
+                 fleet: FleetSpec = CHEAP_FLEET) -> FederationMemberSpec:
     return FederationMemberSpec(
         name=name,
-        cluster=ClusterSpec(fleet=CHEAP_FLEET),
+        cluster=ClusterSpec(fleet=fleet),
         link=LinkSpec(latency_ns=latency_ns, bandwidth_gbps=12.5),
     )
 
 
 def cheap_federation(routing: str = "static-pinning",
                      latency_ns: float = 1_000.0,
+                     fleet: FleetSpec = CHEAP_FLEET,
                      **kwargs) -> FederationSpec:
     kwargs.setdefault("workload", WorkloadSpec(
         mode="open-loop", duration_ns=2e5, offered_gbps=6.0, tenants=4))
     return FederationSpec(
-        members=(cheap_member("alpha", latency_ns),
-                 cheap_member("beta", latency_ns)),
+        members=(cheap_member("alpha", latency_ns, fleet),
+                 cheap_member("beta", latency_ns, fleet)),
         routing=routing, **kwargs)
 
 
@@ -337,6 +341,42 @@ class TestFederationRun:
         federation.run()
         with pytest.raises(FederationError, match="already ran"):
             federation.run()
+
+    def test_end_of_stream_flush_and_sanitizer(self):
+        # Timer-less batches: only the end-of-stream flush across every
+        # member releases the last partial batch of each.
+        batched = dataclasses.replace(CHEAP_FLEET, batch_size=8,
+                                      batch_timeout_ns=None)
+        spec = cheap_federation("least-loaded", fleet=batched)
+        plain = Federation.from_spec(spec, sanitize=False).run()
+        merged = plain.run.service
+        assert merged.completed + merged.shed == merged.offered
+        sanitized = Federation.from_spec(spec, sanitize=True).run()
+        assert sanitized.row() == plain.row()
+        assert sanitized.member_rows() == plain.member_rows()
+        assert sanitized.router_rows() == plain.router_rows()
+
+
+def _cluster_session(telemetry: TelemetrySpec) -> Cluster:
+    cluster = Cluster.from_spec(
+        ClusterSpec(fleet=CHEAP_FLEET, telemetry=telemetry))
+    cluster.open_loop(offered_gbps=6.0, duration_ns=2e5, tenants=4)
+    return cluster
+
+
+def _federation_session(telemetry: TelemetrySpec) -> Federation:
+    return Federation.from_spec(cheap_federation(telemetry=telemetry))
+
+
+@pytest.mark.parametrize("build", [_cluster_session, _federation_session],
+                         ids=["cluster", "federation"])
+def test_metrics_interval_past_horizon_rejected(build):
+    session = build(TelemetrySpec(metrics_interval_ns=1e9))
+    with pytest.raises(TelemetryError, match="exceeds the run horizon"):
+        session.run()
+    # The check runs before the session is marked ran.
+    with pytest.raises(TelemetryError, match="exceeds the run horizon"):
+        session.run()
 
 
 # -- scripted dispatch workers -------------------------------------------------

@@ -6,11 +6,18 @@ fleet and asserts the deadline-aware scheduler protects high-priority
 deadline-miss rate where the flat cost-model policy does not.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from service_stubs import StubDevice, flat_model
+from repro.cluster import (
+    Cluster,
+    ClusterSpec,
+    ReconfigEvent,
+    default_cluster_spec,
+)
 from repro.errors import ServiceError
 from repro.service import (
     BEST_EFFORT,
@@ -18,17 +25,13 @@ from repro.service import (
     SLO_CLASSES,
     THROUGHPUT,
     AdmissionController,
-    FleetController,
     FleetDevice,
     OffloadRequest,
     OffloadService,
     OpenLoopStream,
     SloClass,
-    calibrated,
-    default_fleet,
     make_policy,
     make_slo_class,
-    run_offload_service,
 )
 from repro.sim.engine import Simulator
 
@@ -326,11 +329,7 @@ class TestBrownOutAcceptance:
     cost-model policy's."""
 
     @pytest.fixture(scope="class")
-    def fleet(self):
-        return calibrated(default_fleet())
-
-    @pytest.fixture(scope="class")
-    def reports(self, fleet):
+    def reports(self):
         from repro.experiments.slo_degradation import (
             BATCH_4MS,
             INTERACTIVE_150US,
@@ -338,17 +337,18 @@ class TestBrownOutAcceptance:
         stream = OpenLoopStream(
             offered_gbps=40.0, duration_ns=3e6, tenants=4,
             slo_mix=((INTERACTIVE_150US, 0.3), (BATCH_4MS, 0.7)), seed=11)
+        fleet = dataclasses.replace(default_cluster_spec(spill=False).fleet,
+                                    queue_limit=6)
+        browned = ReconfigEvent(at_ns=1e6, action="brown-out",
+                                device="qat8970", speed_factor=0.15)
 
-        def browned(service):
-            controller = FleetController(service)
-            controller.at(1e6,
-                          lambda: controller.brown_out("qat8970", 0.15))
+        def serve(policy):
+            cluster = Cluster.from_spec(ClusterSpec(
+                fleet=fleet, policy=policy, reconfig=(browned,)))
+            cluster.open_loop(stream)
+            return cluster.run().service
 
-        return {
-            policy: run_offload_service(stream, policy=policy, fleet=fleet,
-                                        queue_limit=6, reconfigure=browned)
-            for policy in ("cost-model", "deadline")
-        }
+        return {policy: serve(policy) for policy in ("cost-model", "deadline")}
 
     def test_reports_carry_per_slo_class_miss_rates(self, reports):
         for report in reports.values():

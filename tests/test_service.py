@@ -7,7 +7,8 @@ one integration test calibrates the real mixed fleet.
 
 import pytest
 
-from service_stubs import StubDevice, flat_model, make_fleet
+from service_stubs import StubDevice, flat_model, make_fleet, stub_cluster
+from repro.cluster import Cluster, ClusterSpec, default_cluster_spec
 from repro.errors import ServiceError
 from repro.hw.engine import Placement
 from repro.service import (
@@ -21,11 +22,9 @@ from repro.service import (
     OpenLoopStream,
     RatioAnchor,
     StaticPinning,
-    calibrated,
     calibrated_ops,
     default_fleet,
     make_policy,
-    run_offload_service,
 )
 from repro.sim.engine import Simulator
 
@@ -509,27 +508,29 @@ class TestOpenLoopService:
                               tenants=4, request_sizes=(4096, 16384),
                               seed=seed)
 
+    def _serve(self, stream, policy="cost-model", **fleet_kwargs):
+        cluster = stub_cluster(policy=policy, fleet=self._stub_pairs(),
+                               queue_limit=None, batch_size=4,
+                               batch_timeout_ns=20_000.0, **fleet_kwargs)
+        cluster.open_loop(stream)
+        return cluster.run().service
+
     def test_deterministic_given_seed(self):
-        first = run_offload_service(self._stream(), policy="cost-model",
-                                    fleet=self._stub_pairs())
-        second = run_offload_service(self._stream(), policy="cost-model",
-                                     fleet=self._stub_pairs())
+        first = self._serve(self._stream(), policy="cost-model")
+        second = self._serve(self._stream(), policy="cost-model")
         assert first.offered == second.offered
         assert first.completed == second.completed
         assert first.p99_us == second.p99_us
         assert first.completed_bytes == second.completed_bytes
 
     def test_different_seed_changes_arrivals(self):
-        first = run_offload_service(self._stream(seed=1),
-                                    fleet=self._stub_pairs())
-        second = run_offload_service(self._stream(seed=2),
-                                     fleet=self._stub_pairs())
+        first = self._serve(self._stream(seed=1))
+        second = self._serve(self._stream(seed=2))
         assert (first.offered, first.completed_bytes) != \
                (second.offered, second.completed_bytes)
 
     def test_breakdown_covers_tenants_and_placements(self):
-        report = run_offload_service(self._stream(), policy="round-robin",
-                                     fleet=self._stub_pairs())
+        report = self._serve(self._stream(), policy="round-robin")
         tenants = {row["tenant"] for row in report.breakdown}
         placements = {row["placement"] for row in report.breakdown}
         assert tenants == {0, 1, 2, 3}
@@ -540,23 +541,20 @@ class TestOpenLoopService:
     def test_goodput_excludes_post_window_drain(self):
         """Backlog completing after arrivals stop must not inflate
         the windowed goodput figure."""
-        report = run_offload_service(self._stream(), policy="round-robin",
-                                     fleet=self._stub_pairs())
+        report = self._serve(self._stream(), policy="round-robin")
         assert report.window_bytes <= report.completed_bytes
         assert report.completed_gbps <= \
             report.completed_bytes / report.duration_ns
 
     def test_report_row_includes_tail_percentiles(self):
-        report = run_offload_service(self._stream(), policy="round-robin",
-                                     fleet=self._stub_pairs())
+        report = self._serve(self._stream(), policy="round-robin")
         row = report.row()
         assert {"p50_us", "p95_us", "p99_us"} <= set(row)
         assert row["p50_us"] <= row["p95_us"] <= row["p99_us"]
 
     def test_fair_share_arbitration_supported(self):
-        report = run_offload_service(self._stream(), policy="round-robin",
-                                     fleet=self._stub_pairs(),
-                                     fair_share_tenants=4)
+        report = self._serve(self._stream(), policy="round-robin",
+                             fair_share_tenants=4)
         assert report.completed == report.offered
 
     def test_empty_fleet_rejected(self):
@@ -569,13 +567,18 @@ class TestMixedFleetIntegration:
 
     @pytest.fixture(scope="class")
     def fleet(self):
-        return calibrated(default_fleet())
+        return default_cluster_spec(spill=False).fleet
+
+    def _serve(self, stream, policy, fleet):
+        cluster = Cluster.from_spec(ClusterSpec(fleet=fleet, policy=policy))
+        cluster.open_loop(stream)
+        return cluster.run().service
 
     def test_cost_model_beats_static_at_overload(self, fleet):
         stream = OpenLoopStream(offered_gbps=48.0, duration_ns=1.5e6,
                                 tenants=4, seed=5)
         reports = {
-            policy: run_offload_service(stream, policy=policy, fleet=fleet)
+            policy: self._serve(stream, policy, fleet)
             for policy in ("static", "round-robin", "cost-model")
         }
         best_static = max(reports["static"].completed_gbps,
@@ -588,8 +591,7 @@ class TestMixedFleetIntegration:
         # whole fleet's, so everything offered completes.
         stream = OpenLoopStream(offered_gbps=36.0, duration_ns=1.5e6,
                                 tenants=4, seed=5)
-        report = run_offload_service(stream, policy="cost-model",
-                                     fleet=fleet)
+        report = self._serve(stream, "cost-model", fleet)
         assert report.completed == report.offered
         used = {row["placement"] for row in report.breakdown}
         assert used == {"cpu", "peripheral", "on-chip", "in-storage"}

@@ -9,7 +9,8 @@ different placement mix than compress traffic.
 
 import pytest
 
-from service_stubs import StubDevice, flat_model
+from service_stubs import StubDevice, flat_model, stub_cluster
+from repro.cluster import Cluster, ClusterSpec, StoreSpec, default_cluster_spec
 from repro.errors import StoreError, WorkloadError
 from repro.hw.engine import Placement
 from repro.service import (
@@ -17,16 +18,9 @@ from repro.service import (
     FleetDevice,
     OffloadService,
     SloClass,
-    calibrated_ops,
-    default_fleet,
 )
 from repro.sim.engine import Simulator
-from repro.store import (
-    BlockCache,
-    BlockMap,
-    CompressedBlockStore,
-    run_block_store,
-)
+from repro.store import BlockCache, BlockMap, CompressedBlockStore
 from repro.workloads import MixedStream, StoreOp
 
 
@@ -258,14 +252,6 @@ class TestStoreServing:
         assert store.metrics.failed_reads == 1
         assert store.metrics.read_latency.count == 0
 
-    def test_drive_rejects_mismatched_block_size(self):
-        sim = Simulator()
-        store = make_store(sim, block_bytes=4096)
-        stream = MixedStream(offered_gbps=1.0, duration_ns=1e5,
-                             block_bytes=8192)
-        with pytest.raises(StoreError):
-            store.drive(stream)
-
     def test_load_populates_every_block(self):
         sim = Simulator()
         store = make_store(sim)
@@ -291,19 +277,24 @@ class TestRunBlockStore:
         kwargs.setdefault("block_bytes", 4096)
         return MixedStream(seed=seed, **kwargs)
 
+    def _serve(self, stream, cache_blocks):
+        cluster = stub_cluster(fleet=self._fleet(), queue_limit=None,
+                               batch_size=4, batch_timeout_ns=20_000.0,
+                               cache_blocks=cache_blocks,
+                               block_bytes=stream.block_bytes)
+        cluster.store_client(stream)
+        return cluster.run().store
+
     def test_deterministic_given_seed(self):
-        first = run_block_store(self._stream(), fleet=self._fleet(),
-                                cache_blocks=16)
-        second = run_block_store(self._stream(), fleet=self._fleet(),
-                                 cache_blocks=16)
+        first = self._serve(self._stream(), cache_blocks=16)
+        second = self._serve(self._stream(), cache_blocks=16)
         assert first.reads == second.reads
         assert first.hit_rate == second.hit_rate
         assert first.read_p99_us == second.read_p99_us
         assert first.live_bytes == second.live_bytes
 
     def test_report_accounts_for_every_operation(self):
-        report = run_block_store(self._stream(), fleet=self._fleet(),
-                                 cache_blocks=16)
+        report = self._serve(self._stream(), cache_blocks=16)
         assert report.reads + report.writes > 0
         assert report.failed_reads == report.failed_writes == 0
         assert report.hit_rate > 0.0
@@ -317,8 +308,7 @@ class TestRunBlockStore:
         assert report.service.completed == report.service.offered
 
     def test_row_is_flat_and_table_ready(self):
-        report = run_block_store(self._stream(), fleet=self._fleet(),
-                                 cache_blocks=16)
+        report = self._serve(self._stream(), cache_blocks=16)
         row = report.row()
         assert {"policy", "read_gbps", "hit_rate", "read_p99_us"} <= set(row)
         assert all(not isinstance(v, (list, dict)) for v in row.values())
@@ -388,26 +378,31 @@ class TestMixedFleetIntegration:
 
     @pytest.fixture(scope="class")
     def fleet(self):
-        return calibrated_ops(default_fleet())
+        return default_cluster_spec(spill=False, store=True).fleet
 
     def _stream(self, read_fraction=0.8):
         return MixedStream(offered_gbps=36.0, duration_ns=2e6,
                            read_fraction=read_fraction, blocks=512,
                            block_bytes=65536, tenants=4, seed=11)
 
+    def _serve(self, stream, fleet, cache_blocks):
+        cluster = Cluster.from_spec(ClusterSpec(
+            fleet=fleet, policy="cost-model",
+            store=StoreSpec(block_bytes=stream.block_bytes,
+                            cache_blocks=cache_blocks)))
+        cluster.store_client(stream)
+        return cluster.run().store
+
     def test_cache_hits_reduce_read_tail_latency(self, fleet):
-        uncached = run_block_store(self._stream(), policy="cost-model",
-                                   fleet=fleet, cache_blocks=0)
-        cached = run_block_store(self._stream(), policy="cost-model",
-                                 fleet=fleet, cache_blocks=256)
+        uncached = self._serve(self._stream(), fleet, cache_blocks=0)
+        cached = self._serve(self._stream(), fleet, cache_blocks=256)
         assert cached.hit_rate > 0.5
         assert cached.read_p50_us < 0.5 * uncached.read_p50_us
         assert cached.read_p99_us < 0.8 * uncached.read_p99_us
 
     def test_decompress_traffic_shifts_placement(self, fleet):
         from repro.experiments.store_scaling import placement_shift
-        report = run_block_store(self._stream(), policy="cost-model",
-                                 fleet=fleet, cache_blocks=64)
+        report = self._serve(self._stream(), fleet, cache_blocks=64)
         assert report.service is not None
         decomp = report.service.placement_shares("decompress")
         comp = report.service.placement_shares("compress")
