@@ -28,13 +28,13 @@ import random
 from typing import Any, Generator
 
 from repro.errors import ClusterError, StoreError
-from repro.service.offload import OffloadService
 from repro.service.request import (
     BEST_EFFORT,
     OffloadRequest,
     OpenLoopStream,
     SloClass,
 )
+from repro.service.scheduler import SchedulerCore
 from repro.sim.stats import LatencyRecorder
 from repro.store.store import CompressedBlockStore
 from repro.workloads.mixed import MixedStream
@@ -64,13 +64,13 @@ class ClusterClient:
 
     mode = "client"
 
-    def __init__(self, service: OffloadService, name: str,
+    def __init__(self, scheduler: SchedulerCore, name: str,
                  duration_ns: float) -> None:
         if duration_ns <= 0:
             raise ClusterError(f"client duration must be > 0, "
                                f"got {duration_ns}")
-        self.service = service
-        self.sim = service.sim
+        self.scheduler = scheduler
+        self.sim = scheduler.sim
         self.name = name
         self.duration_ns = duration_ns
         self.submitted = 0
@@ -155,9 +155,9 @@ class OpenLoopClient(ClusterClient):
 
     mode = "open-loop"
 
-    def __init__(self, service: OffloadService, stream: OpenLoopStream,
+    def __init__(self, scheduler: SchedulerCore, stream: OpenLoopStream,
                  name: str = "open-loop") -> None:
-        super().__init__(service, name, stream.duration_ns)
+        super().__init__(scheduler, name, stream.duration_ns)
         self.stream = stream
 
     def _spawn(self) -> None:
@@ -177,7 +177,7 @@ class OpenLoopClient(ClusterClient):
         call_later = sim.call_later
         next_gap_ns = stream.next_gap_ns
         make_request = stream.make_request
-        submit = self.service.submit
+        submit = self.scheduler.submit
         complete = self._complete
         drop = self._drop
         duration_ns = stream.duration_ns
@@ -234,7 +234,7 @@ class ClosedLoopClient(ClusterClient):
 
     mode = "closed-loop"
 
-    def __init__(self, service: OffloadService, *,
+    def __init__(self, scheduler: SchedulerCore, *,
                  window: int,
                  duration_ns: float,
                  think_ns: float = 0.0,
@@ -246,7 +246,7 @@ class ClosedLoopClient(ClusterClient):
                  slo: SloClass = BEST_EFFORT,
                  seed: int = 1234,
                  name: str = "closed-loop") -> None:
-        super().__init__(service, name, duration_ns)
+        super().__init__(scheduler, name, duration_ns)
         _validate_window_args(name, window, think_ns, retry_backoff_ns)
         if not request_sizes:
             raise ClusterError(f"{name}: need at least one request size")
@@ -284,7 +284,7 @@ class ClosedLoopClient(ClusterClient):
             request = self._make_request(rng)
             finished = self.sim.event()
             self._track_submit()
-            self.service.submit(
+            self.scheduler.submit(
                 request,
                 on_complete=lambda req, dev, cost, finished=finished:
                     self._complete(req, finished),
@@ -341,7 +341,7 @@ class StoreClient(ClusterClient):
                  window: int | None = None,
                  think_ns: float = 0.0,
                  retry_backoff_ns: float = 1_000.0) -> None:
-        super().__init__(store.service, name, stream.duration_ns)
+        super().__init__(store.scheduler, name, stream.duration_ns)
         if stream.block_bytes != store.block_bytes:
             # StoreError: the geometry mismatch is the store's to name.
             raise StoreError(

@@ -40,9 +40,10 @@ from repro.cluster.spec import ClusterSpec, DeviceSpec
 from repro.profiling.powermeter import PowerMeter
 from repro.service.admission import AdmissionController
 from repro.service.control import FleetController
+from repro.service.fleet import build_fleet
 from repro.service.model import CostTable, DeviceCostModel
-from repro.service.offload import OffloadService, build_fleet
 from repro.service.request import OpenLoopStream, SloClass
+from repro.service.scheduler import SchedulerCore
 from repro.sim.engine import Simulator
 from repro.store.cache import BlockCache
 from repro.store.store import CompressedBlockStore
@@ -137,7 +138,7 @@ def _new_simulator(sanitize: bool | None) -> Simulator:
 
 
 def _run_loop(session, clients: list[ClusterClient],
-              services: list[OffloadService],
+              schedulers: list[SchedulerCore],
               register_gauges: Callable[[], None], *,
               store: CompressedBlockStore | None = None,
               profiler: WallClockProfiler | None = None) -> float:
@@ -145,9 +146,9 @@ def _run_loop(session, clients: list[ClusterClient],
     measurement horizon.
 
     The one run loop behind :meth:`Cluster.run` and
-    :meth:`repro.federation.session.Federation.run`.  ``services`` are
-    every member :class:`OffloadService` sharing the simulator (one for
-    a cluster, one per member for a federation).  The horizon is the
+    :meth:`repro.federation.session.Federation.run`.  ``schedulers``
+    are every member :class:`SchedulerCore` sharing the simulator (one
+    for a cluster, one per member for a federation).  The horizon is the
     longest client duration; ``session`` (which carries ``sim`` and
     ``telemetry``) is marked ran only once the metrics interval has
     been checked against it.  Event order: gauges are registered, then
@@ -164,8 +165,8 @@ def _run_loop(session, clients: list[ClusterClient],
             f"shorten the interval or lengthen the clients"
         )
     session._ran = True
-    for service in services:
-        service.measure_until_ns = horizon
+    for scheduler in schedulers:
+        scheduler.measure_until_ns = horizon
     if store is not None:
         store.measure_until_ns = horizon
     if metrics is not None:
@@ -179,8 +180,8 @@ def _run_loop(session, clients: list[ClusterClient],
         if active == 0:
             # The last arrival stream has ended: flush partial batches
             # and arm drain mode so late dispatches keep flushing.
-            for service in services:
-                service.flush()
+            for scheduler in schedulers:
+                scheduler.flush()
 
     if profiler is not None:
         # ``engine`` owns the whole window; the wrapped
@@ -197,8 +198,8 @@ def _run_loop(session, clients: list[ClusterClient],
         # as it makes progress.
         while active > 0:
             before = sim.now
-            for service in services:
-                service.flush()
+            for scheduler in schedulers:
+                scheduler.flush()
             sim.run()
             if sim.now == before:
                 break
@@ -235,15 +236,15 @@ class Cluster:
     once.
     """
 
-    def __init__(self, sim: Simulator, service: OffloadService,
+    def __init__(self, sim: Simulator, scheduler: SchedulerCore,
                  store: CompressedBlockStore | None = None,
                  spec: ClusterSpec | None = None,
                  telemetry: Telemetry | None = None) -> None:
         self.sim = sim
-        self.service = service
+        self.scheduler = scheduler
         self.store = store
         self.spec = spec
-        self.controller = FleetController(service)
+        self.controller = FleetController(scheduler)
         if telemetry is None:
             telemetry = (Telemetry(spec.telemetry)
                          if spec is not None and spec.telemetry is not None
@@ -255,9 +256,19 @@ class Cluster:
         self._ran = False
         self._profiler: WallClockProfiler | None = None
 
+    @property
+    def service(self) -> "Cluster":
+        """Read-only alias so ``cluster.service.scheduler`` resolves.
+
+        perfbench reads that path (``_device_layers`` in
+        ``perfbench/bench_workloads.py``); a later benchmark change can
+        switch it to ``cluster.scheduler`` and delete this alias.
+        """
+        return self
+
     def _wire_telemetry(self) -> None:
         """Hand the live telemetry sink to every instrumented component."""
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         scheduler.telemetry = self.telemetry
         for device in scheduler.devices:
             device.telemetry = self.telemetry
@@ -293,7 +304,7 @@ class Cluster:
             self._wire_telemetry()
         if self.telemetry.metrics is not None:
             profiler.wrap(self.telemetry.metrics, "sample", "telemetry")
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         for attr in ("submit", "pump", "_record_completion"):
             profiler.wrap(scheduler, attr, "scheduler")
         if self.store is not None:
@@ -355,22 +366,22 @@ class Cluster:
                 shed_threshold=spec.admission.shed_threshold,
                 ewma_alpha=spec.admission.ewma_alpha,
             )
-        service = OffloadService(sim, members, spec.policy,
-                                 admission=admission,
-                                 spill_device=spill_member,
-                                 pending_limit=spec.pending_limit)
+        scheduler = SchedulerCore(sim, members, spec.policy,
+                                  admission=admission,
+                                  spill_device=spill_member,
+                                  pending_limit=spec.pending_limit)
         store = None
         if spec.store is not None:
             store_spec = spec.store
             store = CompressedBlockStore(
-                sim, service,
+                sim, scheduler,
                 BlockCache(store_spec.cache_blocks, store_spec.ghost_blocks),
                 block_bytes=store_spec.block_bytes,
                 segment_bytes=store_spec.segment_bytes,
                 read_slo=store_spec.read_slo.to_class(),
                 write_slo=store_spec.write_slo.to_class(),
             )
-        cluster = cls(sim, service, store=store, spec=spec,
+        cluster = cls(sim, scheduler, store=store, spec=spec,
                       telemetry=telemetry)
         cluster._arm_reconfiguration(spec)
         return cluster
@@ -433,7 +444,7 @@ class Cluster:
             raise ClusterError(
                 "pass either a stream or stream kwargs, not both"
             )
-        client = OpenLoopClient(self.service, stream, name=name)
+        client = OpenLoopClient(self.scheduler, stream, name=name)
         self._attach(client)
         return client
 
@@ -452,7 +463,7 @@ class Cluster:
                 slo = mix[0][0]
         if slo is not None:
             client_kwargs["slo"] = slo
-        client = ClosedLoopClient(self.service, window=window,
+        client = ClosedLoopClient(self.scheduler, window=window,
                                   duration_ns=duration_ns,
                                   think_ns=think_ns, name=name,
                                   **client_kwargs)
@@ -521,7 +532,7 @@ class Cluster:
                 "store_client() before run()"
             )
         profiler = self._profiler
-        horizon = _run_loop(self, self._clients, [self.service],
+        horizon = _run_loop(self, self._clients, [self.scheduler],
                             self._register_default_gauges,
                             store=self.store, profiler=profiler)
         telemetry_report = None
@@ -533,7 +544,7 @@ class Cluster:
                 telemetry_report.host_sections = list(profiler.sections)
         return RunResult(
             duration_ns=horizon,
-            service=self.service.report(duration_ns=horizon),
+            service=self.scheduler.report(duration_ns=horizon),
             store=(self.store.report(duration_ns=horizon)
                    if self.store is not None else None),
             clients=[client.row() for client in self._clients],
@@ -596,7 +607,7 @@ class Cluster:
 
     def _fleet_keyed(self) -> list[tuple[str, Any]]:
         """Every fleet member (spill last) with unique gauge keys."""
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         devices = list(scheduler.devices)
         if scheduler.spill_device is not None:
             devices.append(scheduler.spill_device)
@@ -613,7 +624,7 @@ class Cluster:
     def _register_default_gauges(self) -> None:
         """The standard serving time series every sampled run records."""
         registry = self.telemetry.metrics
-        scheduler = self.service.scheduler
+        scheduler = self.scheduler
         metrics = scheduler.metrics
         registry.gauge("pending", lambda: float(scheduler.pending))
         registry.gauge("utilization", scheduler.utilization)

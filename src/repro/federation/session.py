@@ -46,7 +46,7 @@ class Federation:
         self.telemetry = telemetry
         self.router = GlobalRouter(
             sim,
-            [(name, cluster.service, member.link)
+            [(name, cluster.scheduler, member.link)
              for (name, cluster), member in zip(clusters, spec.members)],
             routing=spec.routing,
             affinity_threshold=spec.affinity_threshold,
@@ -94,7 +94,7 @@ class Federation:
         driver = OpenLoopClient(self.router, stream, name="federated")
         horizon = _run_loop(
             self, [driver],
-            [cluster.service for _, cluster in self.clusters],
+            [cluster.scheduler for _, cluster in self.clusters],
             self._register_gauges)
         return self._report(driver, horizon)
 
@@ -105,7 +105,7 @@ class Federation:
         utilization, plus the global remote-routing fraction."""
         registry = self.telemetry.metrics
         for name, cluster in self.clusters:
-            scheduler = cluster.service.scheduler
+            scheduler = cluster.scheduler
             registry.gauge(f"pending_{name}",
                            lambda s=scheduler: float(s.pending))
             registry.gauge(f"util_{name}",
@@ -121,7 +121,7 @@ class Federation:
     def _report(self, driver: OpenLoopClient,
                 horizon: float) -> FederationResult:
         member_reports = [
-            (name, cluster.service.report(duration_ns=horizon))
+            (name, cluster.scheduler.report(duration_ns=horizon))
             for name, cluster in self.clusters
         ]
         merged = merge_service_reports(member_reports, self.spec.routing,

@@ -11,19 +11,19 @@ dynamic reconfiguration (hotplug, brown-out, power capping).
 
 from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.control import FleetController
-from repro.service.fleet import Batcher, DeviceState, FleetDevice
+from repro.service.fleet import (
+    Batcher,
+    DeviceState,
+    FleetDevice,
+    build_fleet,
+    default_fleet,
+)
 from repro.service.model import (
     DeviceCostModel,
     ModeledCost,
     RatioAnchor,
     calibrated,
     calibrated_ops,
-)
-from repro.service.offload import (
-    OffloadService,
-    ServiceReport,
-    build_fleet,
-    default_fleet,
 )
 from repro.service.policy import (
     POLICIES,
@@ -48,6 +48,7 @@ from repro.service.request import (
 from repro.service.scheduler import (
     SchedulerCore,
     ServiceMetrics,
+    ServiceReport,
     SloStats,
 )
 
@@ -66,7 +67,6 @@ __all__ = [
     "INTERACTIVE",
     "ModeledCost",
     "OffloadRequest",
-    "OffloadService",
     "OpenLoopStream",
     "POLICIES",
     "RatioAnchor",

@@ -172,13 +172,12 @@ def _value(hint: Any, value: Any, path: str,
     return value
 
 
-def loads(cls: type, text: str,
-          error: type[Exception] | None = None) -> Any:
+def loads(cls: type, text: str) -> Any:
     """Decode ``cls`` from JSON ``text``; text that is not JSON raises
-    ``error`` (default: the type's own error class)."""
+    the type's own error class."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise (error or cls.spec_error)(
+        raise cls.spec_error(
             f"{cls.__name__} is not valid JSON: {exc}") from exc
     return cls.from_dict(data)

@@ -40,7 +40,7 @@ from typing import Any
 
 from repro.cluster.spec import ClusterSpec, apply_override
 from repro.errors import ClusterSpecError, SweepSpecError, WorkloadError
-from repro.specjson import JsonSpec, decode, loads, to_jsonable
+from repro.specjson import JsonSpec, decode, to_jsonable
 from repro.workloads.population import DiurnalSpec, TenantPopulationSpec
 
 #: Traffic shapes a :class:`WorkloadSpec` may declare.
@@ -54,7 +54,7 @@ _LABEL_TYPES = (str, int, float, bool)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec(JsonSpec, error=ClusterSpecError):
+class WorkloadSpec(JsonSpec, error=SweepSpecError):
     """What traffic drives one cluster run.
 
     ``mode`` picks the client shape (``open-loop`` Poisson stream,
@@ -147,7 +147,7 @@ class WorkloadSpec(JsonSpec, error=ClusterSpecError):
 
 
 @dataclass(frozen=True)
-class AxisPoint(JsonSpec, error=ClusterSpecError):
+class AxisPoint(JsonSpec, error=SweepSpecError):
     """One labelled point of an axis: a set of dotted-path overrides.
 
     Override values are normalized to JSON shapes at construction
@@ -180,7 +180,7 @@ class AxisPoint(JsonSpec, error=ClusterSpecError):
 
 
 @dataclass(frozen=True)
-class SweepAxis(JsonSpec, error=ClusterSpecError):
+class SweepAxis(JsonSpec, error=SweepSpecError):
     """One named sweep dimension: an ordered list of labelled points.
 
     Build one with :meth:`over` (one dotted path, one point per value),
@@ -268,7 +268,7 @@ class SweepAxis(JsonSpec, error=ClusterSpecError):
 
 
 @dataclass(frozen=True)
-class SweepFilter(JsonSpec, error=ClusterSpecError):
+class SweepFilter(JsonSpec, error=SweepSpecError):
     """Excludes grid points whose coordinates match ``when``.
 
     ``when`` maps axis names to a label or a list of labels; a point
@@ -328,7 +328,7 @@ def document_hash(document: dict) -> str:
 
 
 @dataclass(frozen=True)
-class SweepSpec(JsonSpec, error=ClusterSpecError):
+class SweepSpec(JsonSpec, error=SweepSpecError):
     """A whole experiment, declaratively: base document, axes, filters.
 
     ``root_seed`` anchors every point's stream seed (see
@@ -459,12 +459,6 @@ class SweepSpec(JsonSpec, error=ClusterSpecError):
                 seed=self.root_seed + workload.seed_offset,
             ))
         return tuple(points)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        # Key errors are ClusterSpecErrors, shared with the cluster
-        # layer; text that is not JSON at all is a sweep error.
-        return loads(cls, text, SweepSpecError)
 
 
 def _product(axes_points: list[tuple[AxisPoint, ...]]):

@@ -12,8 +12,8 @@ from repro.hw.engine import CdpuDevice, Placement
 from repro.service import (
     DeviceCostModel,
     FleetDevice,
-    OffloadService,
     RatioAnchor,
+    SchedulerCore,
     build_fleet,
 )
 from repro.sim.engine import Simulator
@@ -70,7 +70,7 @@ def stub_cluster(per_byte=(0.01, 0.1), queue_limit=4, policy="cost-model",
                              batch_size=batch_size,
                              batch_timeout_ns=batch_timeout_ns,
                              fair_share_tenants=fair_share_tenants)
-    service = OffloadService(sim, members, policy, **service_kwargs)
+    service = SchedulerCore(sim, members, policy, **service_kwargs)
     store = None
     if cache_blocks is not None:
         store = CompressedBlockStore(sim, service, BlockCache(cache_blocks),

@@ -27,10 +27,16 @@ from repro.cluster import (
 )
 from repro.cluster.session import _DEVICE_BUILDERS
 from repro.errors import ClusterError, ClusterSpecError
+from repro.federation import (
+    Federation,
+    FederationMemberSpec,
+    FederationSpec,
+    LinkSpec,
+)
 from repro.service import (
     FleetDevice,
-    OffloadService,
     OpenLoopStream,
+    SchedulerCore,
     SloClass,
 )
 from repro.sim.engine import Simulator
@@ -270,7 +276,7 @@ class TestClusterSession:
             sim, StubDevice(name="dev0"),
             {"compress": flat_model(0.02), "decompress": flat_model(0.01)},
             queue_limit=16, batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         store = CompressedBlockStore(
             sim, service, BlockCache(8), block_bytes=1000,
             hit_overhead_ns=100.0, hit_per_byte_ns=0.0,
@@ -297,7 +303,7 @@ class TestClusterSession:
         fleet = [FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(0.01), queue_limit=16,
                              batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         spec = ClusterSpec(fleet=FleetSpec(devices=(DeviceSpec("dpzip"),)),
                            slo_mix=spec_mix)
         cluster = Cluster(sim, service, spec=spec)
@@ -312,7 +318,7 @@ class TestClusterSession:
         fleet = [FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(0.01), queue_limit=16,
                              batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         spec = ClusterSpec(fleet=FleetSpec(devices=(DeviceSpec("dpzip"),)),
                            slo_mix=spec_mix)
         cluster = Cluster(sim, service, spec=spec)
@@ -329,7 +335,7 @@ def stub_store_cluster(spec=None, cache_blocks=8, block_bytes=1000):
         sim, StubDevice(name="dev0"),
         {"compress": flat_model(0.02), "decompress": flat_model(0.01)},
         queue_limit=16, batch_size=1)]
-    service = OffloadService(sim, fleet, "cost-model")
+    service = SchedulerCore(sim, fleet, "cost-model")
     store = CompressedBlockStore(
         sim, service, BlockCache(cache_blocks), block_bytes=block_bytes,
         hit_overhead_ns=100.0, hit_per_byte_ns=0.0,
@@ -418,7 +424,7 @@ class TestReconfigSchedule:
         fleet = [FleetDevice(sim, StubDevice(name="dev0"),
                              flat_model(0.01), queue_limit=16,
                              batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         spec = ClusterSpec(
             fleet=FleetSpec(devices=(DeviceSpec("dpzip"),)),
             reconfig=(ReconfigEvent(at_ns=5e4, action="brown-out",
@@ -452,6 +458,19 @@ class TestFromSpecIntegration:
         assert result.row()["completed_gbps"] > 0
         assert result.clients[0]["mode"] == "open-loop"
 
+    def test_service_alias_resolves_to_the_scheduler(self):
+        # perfbench's _device_layers reads cluster.service.scheduler,
+        # for a standalone cluster and for every federation member.
+        cluster = Cluster.from_spec(self.SPEC)
+        assert cluster.service.scheduler is cluster.scheduler
+        link = LinkSpec(latency_ns=1_000.0, bandwidth_gbps=12.5)
+        federation = Federation.from_spec(FederationSpec(members=tuple(
+            FederationMemberSpec(name=name, cluster=self.SPEC, link=link)
+            for name in ("alpha", "beta"))))
+        assert len(federation.clusters) == 2
+        for _, member in federation.clusters:
+            assert member.service.scheduler is member.scheduler
+
     def test_calibration_cache_reuses_models(self):
         from repro.cluster.session import _MODEL_CACHE, calibrated_models
         spec = DeviceSpec("cpu", algorithm="snappy", threads=4)
@@ -468,7 +487,7 @@ class TestReviewRegressions:
                              {"compress": flat_model(0.02),
                               "decompress": flat_model(0.01)},
                              queue_limit=16, batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         store = CompressedBlockStore(sim, service, BlockCache(8),
                                      block_bytes=1000)
         cluster = Cluster(sim, service, store=store)
@@ -485,7 +504,7 @@ class TestReviewRegressions:
                              {"compress": flat_model(0.02),
                               "decompress": flat_model(0.01)},
                              queue_limit=16, batch_size=1)]
-        service = OffloadService(sim, fleet, "cost-model")
+        service = SchedulerCore(sim, fleet, "cost-model")
         store = CompressedBlockStore(sim, service, BlockCache(8),
                                      block_bytes=4096)
         cluster = Cluster(sim, service, store=store)

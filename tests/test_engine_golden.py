@@ -303,9 +303,9 @@ class TestCostTable:
     def test_cluster_attaches_shared_tables(self):
         spec = default_cluster_spec()
         cluster = Cluster.from_spec(spec)
-        devices = list(cluster.service.scheduler.devices)
-        if cluster.service.scheduler.spill_device is not None:
-            devices.append(cluster.service.scheduler.spill_device)
+        devices = list(cluster.scheduler.devices)
+        if cluster.scheduler.spill_device is not None:
+            devices.append(cluster.scheduler.spill_device)
         assert all(device.cost_tables for device in devices)
         for device in devices:
             for op, table in device.cost_tables.items():

@@ -27,8 +27,8 @@ from repro.service import (
     AdmissionController,
     FleetDevice,
     OffloadRequest,
-    OffloadService,
     OpenLoopStream,
+    SchedulerCore,
     SloClass,
     make_policy,
     make_slo_class,
@@ -106,7 +106,7 @@ def one_device_service(sim, policy="deadline", engine_per_byte=1.0,
     device = FleetDevice(sim, StubDevice(name="only"),
                          flat_model(engine_per_byte_ns=engine_per_byte),
                          queue_limit=1, batch_size=1)
-    service = OffloadService(sim, [device], policy,
+    service = SchedulerCore(sim, [device], policy,
                              pending_limit=pending_limit, **kwargs)
     return service, device
 
@@ -117,11 +117,11 @@ class TestPendingQueue:
         service, device = one_device_service(sim)
         assert service.submit(request()) == "admitted"
         assert service.submit(request()) == "queued"
-        assert service.scheduler.pending == 1
+        assert service.pending == 1
         sim.run()
         assert service.metrics.completed == 2
         assert service.metrics.shed == 0
-        assert service.scheduler.pending == 0
+        assert service.pending == 0
 
     def test_flat_policy_keeps_zero_pending_limit(self):
         # Back-compat: without an SLO-aware policy the pending queue is
@@ -130,7 +130,7 @@ class TestPendingQueue:
         service, _ = one_device_service(sim, policy="cost-model")
         assert service.submit(request(slo=INTERACTIVE)) == "admitted"
         assert service.submit(request(slo=INTERACTIVE)) == "shed"
-        assert service.scheduler.pending_limit == 0
+        assert service.pending_limit == 0
 
     def test_edf_order_within_tier(self):
         sim = Simulator()
@@ -193,7 +193,7 @@ class TestPendingQueue:
         assert service.submit(request(slo=BEST_EFFORT)) == "admitted"
         for _ in range(40):
             assert service.submit(request(slo=BEST_EFFORT)) == "queued"
-        core = service.scheduler
+        core = service
         assert len(core._heap) == 40
         # Every interactive arrival evicts one parked best-effort entry
         # and parks itself; 40 evictions cross the compaction trigger.
@@ -228,7 +228,7 @@ class TestPendingQueue:
         controller = AdmissionController(spill_threshold=0.0,
                                          shed_threshold=0.0)
         controller.decide(1.0)
-        service.scheduler.admission = controller
+        service.admission = controller
         assert service.submit(request(slo=INTERACTIVE)) == "queued"
         assert dropped == ["be"]
         # ...but an arrival with nothing below it still sheds.
@@ -243,13 +243,13 @@ class TestPendingQueue:
         device = FleetDevice(sim, StubDevice(), flat_model(1.0),
                              queue_limit=1, batch_size=4,
                              batch_timeout_ns=None)
-        service = OffloadService(sim, [device], "deadline")
+        service = SchedulerCore(sim, [device], "deadline")
         for _ in range(4):
             service.submit(request())
         service.flush()  # the stream has ended
         sim.run()
         assert service.metrics.completed == 4
-        assert service.scheduler.pending == 0
+        assert service.pending == 0
 
     def test_on_drop_fires_on_synchronous_shed(self):
         sim = Simulator()
@@ -268,7 +268,7 @@ class TestDeadlineAccounting:
         device = FleetDevice(sim, StubDevice(),
                              flat_model(engine_per_byte_ns=1.0),
                              queue_limit=4, batch_size=1)
-        service = OffloadService(sim, [device], "cost-model")
+        service = SchedulerCore(sim, [device], "cost-model")
         tight = SloClass("tight", tier=0, deadline_ns=500.0)
         loose = SloClass("loose", tier=1, deadline_ns=1e9)
         service.submit(request(nbytes=1000, slo=tight))  # 1000 ns > 500
@@ -389,7 +389,7 @@ class TestDeadlineFeasibilitySpill:
                 sim, StubDevice(name="cpu"),
                 flat_model(engine_per_byte_ns=engine_per_byte),
                 queue_limit=64, batch_size=1)
-        service = OffloadService(sim, [device], "cost-model",
+        service = SchedulerCore(sim, [device], "cost-model",
                                  spill_device=spill_device, **kwargs)
         return service, device, spill_device
 

@@ -80,13 +80,13 @@ CASES = [
                           sigma=2.5, seed=3), WorkloadError),
     (DiurnalSpec(period_ns=1e5, amplitude=0.3, phase=0.25), WorkloadError),
     (WorkloadSpec(duration_ns=2e5, population=TenantPopulationSpec(),
-                  diurnal=DiurnalSpec()), ClusterSpecError),
+                  diurnal=DiurnalSpec()), SweepSpecError),
     (AxisPoint(label="a", overrides={"policy": "round-robin"}),
-     ClusterSpecError),
+     SweepSpecError),
     (SweepAxis.over("load", "workload.offered_gbps", (8.0, 24.0)),
-     ClusterSpecError),
-    (SweepFilter(when={"load": [8.0]}), ClusterSpecError),
-    (example_sweep_spec(), ClusterSpecError),
+     SweepSpecError),
+    (SweepFilter(when={"load": [8.0]}), SweepSpecError),
+    (example_sweep_spec(), SweepSpecError),
     (LinkSpec(latency_ns=1e3, pcie_generation=4, pcie_lanes=4),
      FederationSpecError),
     (example_federation_spec().members[0], FederationSpecError),
@@ -137,7 +137,7 @@ class TestDottedPaths:
     def test_nested_axis_point_key(self):
         data = example_sweep_spec().to_dict()
         data["axes"][0]["points"][0]["wat"] = 1
-        with pytest.raises(ClusterSpecError,
+        with pytest.raises(SweepSpecError,
                            match=r"^axes\[0\]\.points\[0\]: unknown key\(s\) "
                                  r"\['wat'\] for AxisPoint"):
             SweepSpec.from_dict(data)
@@ -169,7 +169,7 @@ class TestDottedPaths:
     def test_missing_required_key_names_path(self):
         data = example_sweep_spec().to_dict()
         del data["axes"][1]["name"]
-        with pytest.raises(ClusterSpecError,
+        with pytest.raises(SweepSpecError,
                            match=r"^axes\[1\]: missing required key 'name' "
                                  r"for SweepAxis"):
             SweepSpec.from_dict(data)

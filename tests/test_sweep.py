@@ -268,15 +268,15 @@ class TestSerialization:
     def test_unknown_keys_rejected_at_every_level(self):
         data = cheap_sweep().to_dict()
         data["turbo"] = True
-        with pytest.raises(ClusterSpecError, match="turbo"):
+        with pytest.raises(SweepSpecError, match="turbo"):
             SweepSpec.from_dict(data)
         data = cheap_sweep().to_dict()
         data["workload"]["warp"] = 9
-        with pytest.raises(ClusterSpecError, match="warp"):
+        with pytest.raises(SweepSpecError, match="warp"):
             SweepSpec.from_dict(data)
         data = cheap_sweep().to_dict()
         data["axes"][0]["points"][0]["wat"] = 1
-        with pytest.raises(ClusterSpecError, match="wat"):
+        with pytest.raises(SweepSpecError, match="wat"):
             SweepSpec.from_dict(data)
 
     def test_invalid_json_raises_spec_error(self):
