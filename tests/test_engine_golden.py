@@ -201,6 +201,14 @@ def _scenario_sweep_rows(trace_path):
     return {"rows": run_sweep_spec(example_sweep_spec()).rows()}
 
 
+def _scenario_sweep_experiments(trace_path):
+    from repro.experiments import run_experiment
+
+    return {name: json.loads(run_experiment(name, quick=True).to_json())
+            for name in ("service_scaling", "store_scaling",
+                         "slo_degradation")}
+
+
 def _scenario_tied_timestamps(trace_path):
     return {f"submit_{submit_ns:g}ns_follow_ups_{follow_ups}":
             _tied_timestamps_run(submit_ns, follow_ups)
@@ -214,14 +222,16 @@ def _scenario_tied_timestamps(trace_path):
 #: federation spec, a batch-heavy fleet whose batch members (and a
 #: closed-loop client) share timestamps, a stub fleet on integer
 #: costs where same-timestamp work is the rule, so the order of
-#: zero-delay hops decides the completion order, and the example
-#: sweep's rows, whose ``spec_hash`` column pins the spec encoder.
+#: zero-delay hops decides the completion order, the example sweep's
+#: rows, whose ``spec_hash`` column pins the spec encoder, and the
+#: quick-mode serving sweeps' experiment tables (rows, titles, notes).
 SCENARIOS = {
     "store_client": _scenario_store_client,
     "federation": _scenario_federation,
     "batched_fleet": _scenario_batched_fleet,
     "tied_timestamps": _scenario_tied_timestamps,
     "sweep_rows": _scenario_sweep_rows,
+    "sweep_experiments": _scenario_sweep_experiments,
 }
 
 
