@@ -36,7 +36,7 @@ from repro.cluster.clients import (
     StoreClient,
 )
 from repro.cluster.result import RunResult
-from repro.cluster.spec import ClusterSpec, DeviceSpec
+from repro.cluster.spec import ClusterSpec, DeviceSpec, ReconfigEvent
 from repro.profiling.powermeter import PowerMeter
 from repro.service.admission import AdmissionController
 from repro.service.control import FleetController
@@ -141,7 +141,8 @@ def _run_loop(session, clients: list[ClusterClient],
               schedulers: list[SchedulerCore],
               register_gauges: Callable[[], None], *,
               store: CompressedBlockStore | None = None,
-              profiler: WallClockProfiler | None = None) -> float:
+              profiler: WallClockProfiler | None = None,
+              reconfig: tuple[ReconfigEvent, ...] = ()) -> float:
     """Drive ``clients`` on ``session.sim`` to completion; return the
     measurement horizon.
 
@@ -150,9 +151,10 @@ def _run_loop(session, clients: list[ClusterClient],
     are every member :class:`SchedulerCore` sharing the simulator (one
     for a cluster, one per member for a federation).  The horizon is the
     longest client duration; ``session`` (which carries ``sim`` and
-    ``telemetry``) is marked ran only once the metrics interval has
-    been checked against it.  Event order: gauges are registered, then
-    the sampler is spawned, then the clients start.
+    ``telemetry``) is marked ran only once the metrics interval and
+    every scheduled ``reconfig`` event have been checked against it.
+    Event order: gauges are registered, then the sampler is spawned,
+    then the clients start.
     """
     sim = session.sim
     horizon = max(client.duration_ns for client in clients)
@@ -164,6 +166,13 @@ def _run_loop(session, clients: list[ClusterClient],
             f"({horizon:g} ns); no sample would ever be taken — "
             f"shorten the interval or lengthen the clients"
         )
+    for event in reconfig:
+        if event.at_ns >= horizon:
+            raise ClusterError(
+                f"{event.action} event at {event.at_ns:g} ns is at or "
+                f"past the run horizon ({horizon:g} ns); it would never "
+                f"act — schedule it earlier or lengthen the clients"
+            )
     session._ran = True
     for scheduler in schedulers:
         scheduler.measure_until_ns = horizon
@@ -534,7 +543,9 @@ class Cluster:
         profiler = self._profiler
         horizon = _run_loop(self, self._clients, [self.scheduler],
                             self._register_default_gauges,
-                            store=self.store, profiler=profiler)
+                            store=self.store, profiler=profiler,
+                            reconfig=(self.spec.reconfig
+                                      if self.spec is not None else ()))
         telemetry_report = None
         if self.telemetry.enabled:
             telemetry_report = self.telemetry.report()

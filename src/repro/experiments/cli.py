@@ -3,9 +3,8 @@
 Runs the requested experiments (default: all) and prints their tables.
 ``--full`` switches off quick mode for paper-scale workloads.
 
-Six dedicated subcommands expose the serving layer with tunable
-parameters (the sweeps' registered ids run the same sweeps at
-defaults):
+Subcommands expose the serving layer (the serving sweeps' registered
+ids run the same sweeps in quick mode):
 
 * ``repro-experiment cluster --spec cluster.json`` — one serving run
   over a declarative :class:`~repro.cluster.ClusterSpec` document
@@ -32,31 +31,44 @@ defaults):
 * ``repro-experiment worker --listen HOST:PORT`` — a sweep worker
   process that serves grid points to distributed drivers
   (``repro-experiment sweep --hosts ...``);
-* ``repro-experiment service [options]`` — the compress-offload
-  scaling sweep (offered load x fleet mix x dispatch policy);
-* ``repro-experiment store [options]`` — the compressed block-store
-  sweep (read fraction x cache size x dispatch policy);
-* ``repro-experiment slo [options]`` — the SLO-degradation sweep
-  (brown-out timing x SLO mix x policy).
+* ``repro-experiment service|store|slo`` — aliases of ``sweep`` for
+  the serving sweeps (:data:`SWEEP_ALIASES`): the compress-offload
+  scaling sweep (offered load x fleet mix x dispatch policy), the
+  compressed block-store sweep (read fraction x cache size x dispatch
+  policy) and the SLO-degradation sweep (brown-out timing x SLO mix x
+  policy).  With no ``--spec`` an alias runs its module's
+  ``build_sweep()`` defaults; ``--print-example-spec`` prints that
+  spec to edit and pass back with ``--spec``.  The alias prints and
+  exports its module's ``tabulate`` view instead of the flat sweep
+  table.
 
-The sweep subcommands share one option block (``--duration-ms``,
-``--tenants``, ``--seed``, ``--workers``, ``--csv``, ``--json``)
-declared once as argparse parent parsers instead of being repeated per
-subcommand; ``--csv``/``--json`` export the printed rows through the
-unified flat-row formats of :mod:`repro.sweep.result`.
+Every sweep option (``--seed``, ``--workers``, ``--csv``, ``--json``,
+``--trace``, ``--continue-on-error``, ``--distributed``/``--hosts``)
+is declared once on the sweep parser and shared by the aliases;
+``--csv``/``--json`` export the printed rows through the unified
+flat-row formats of :mod:`repro.sweep.result`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from repro.errors import ReproError
-from repro.experiments import REGISTRY, run_experiment
+from repro.experiments import (
+    REGISTRY,
+    run_experiment,
+    service_scaling,
+    slo_degradation,
+    store_scaling,
+)
 
-SUBCOMMANDS = ("cluster", "report", "sweep", "federation", "worker",
-               "service", "store", "slo")
+#: Sweep-driver aliases: each module's ``build_sweep()`` is the default
+#: spec and its ``tabulate(sweep)`` the printed and exported row view.
+SWEEP_ALIASES = {"service": service_scaling, "store": store_scaling,
+                 "slo": slo_degradation}
 
 #: Shared ``--help`` epilog: where the correctness tooling lives.
 CORRECTNESS_EPILOG = (
@@ -68,41 +80,41 @@ CORRECTNESS_EPILOG = (
 )
 
 
-def _run_options(duration_ms: float, seed: int,
-                 tenants: int = 4) -> argparse.ArgumentParser:
-    """Shared per-run flags (defaults vary by subcommand)."""
+def _run_options() -> argparse.ArgumentParser:
+    """Shared run and client-traffic flags for the cluster/report
+    subcommands."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("shared run options")
-    group.add_argument("--duration-ms", type=float, default=duration_ms,
+    group.add_argument("--spec", metavar="cluster.json",
+                       help="path to a ClusterSpec JSON document")
+    group.add_argument("--profile", action="store_true",
+                       help="attribute host wall-clock to subsystems "
+                            "and print the profile after the run")
+    group.add_argument("--sanitize", action="store_true",
+                       help="run on the sanitized simulator (engine "
+                            "invariant checks; results are identical)")
+    group.add_argument("--duration-ms", type=float, default=2.0,
                        help="virtual stream duration per run")
-    group.add_argument("--tenants", type=int, default=tenants,
+    group.add_argument("--tenants", type=int, default=4,
                        help="number of tenants in the request stream")
-    group.add_argument("--seed", type=int, default=seed,
+    group.add_argument("--seed", type=int, default=1234,
                        help="root seed; one number reproduces the "
-                            "whole run or sweep")
+                            "whole run")
+    group = parent.add_argument_group("traffic options")
+    group.add_argument("--load-gbps", type=float, default=36.0,
+                       help="open-loop/store offered load in GB/s")
+    group.add_argument("--closed-loop", action="store_true",
+                       help="drive closed-loop windowed clients instead "
+                            "of an open-loop stream")
+    group.add_argument("--clients", type=int, default=4,
+                       help="number of closed-loop clients")
+    group.add_argument("--window", type=int, default=8,
+                       help="per-client in-flight window")
+    group.add_argument("--think-us", type=float, default=5.0,
+                       help="per-client think time between requests")
+    group.add_argument("--read-fraction", type=float, default=0.8,
+                       help="store traffic read mix")
     return parent
-
-
-def _sweep_options() -> argparse.ArgumentParser:
-    """Shared sweep execution/output flags."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("shared sweep options")
-    group.add_argument("--workers", type=int, default=0,
-                       help="worker processes for the grid "
-                            "(0 = run every point inline)")
-    group.add_argument("--csv", metavar="PATH",
-                       help="also write the result rows as CSV")
-    group.add_argument("--json", metavar="PATH",
-                       help="also write the result rows as JSON")
-    return parent
-
-
-def _write_outputs(result, args) -> None:
-    """Honor the shared --csv/--json export flags."""
-    if getattr(args, "csv", None):
-        result.to_csv(args.csv)
-    if getattr(args, "json", None):
-        result.to_json(args.json)
 
 
 def _positive_ms(text: str) -> float:
@@ -160,28 +172,19 @@ def _telemetry_override(spec, trace: bool, interval_ms: float | None):
     ))
 
 
-def _traffic_options() -> argparse.ArgumentParser:
-    """Shared client-traffic flags for the cluster/report subcommands."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("traffic options")
-    group.add_argument("--load-gbps", type=float, default=36.0,
-                       help="open-loop/store offered load in GB/s")
-    group.add_argument("--closed-loop", action="store_true",
-                       help="drive closed-loop windowed clients instead "
-                            "of an open-loop stream")
-    group.add_argument("--clients", type=int, default=4,
-                       help="number of closed-loop clients")
-    group.add_argument("--window", type=int, default=8,
-                       help="per-client in-flight window")
-    group.add_argument("--think-us", type=float, default=5.0,
-                       help="per-client think time between requests")
-    group.add_argument("--read-fraction", type=float, default=0.8,
-                       help="store traffic read mix")
-    return parent
+def _serve_spec(args, trace: bool, interval_ms: float | None):
+    """One run of the ``--spec`` document: telemetry flags merged in,
+    the traffic the shared flags describe attached."""
+    from repro.cluster import Cluster, ClusterSpec
 
-
-def _attach_clients(cluster, spec, args, duration_ns: float) -> None:
-    """Attach the traffic the shared flags describe to ``cluster``."""
+    with open(args.spec, encoding="utf-8") as handle:
+        spec = ClusterSpec.from_json(handle.read())
+    spec = _telemetry_override(spec, trace, interval_ms)
+    cluster = Cluster.from_spec(spec,
+                                sanitize=True if args.sanitize else None)
+    if args.profile:
+        cluster.enable_profiling()
+    duration_ns = args.duration_ms * 1e6
     if spec.store is not None:
         cluster.store_client(offered_gbps=args.load_gbps,
                              duration_ns=duration_ns,
@@ -198,6 +201,7 @@ def _attach_clients(cluster, spec, args, duration_ns: float) -> None:
         cluster.open_loop(offered_gbps=args.load_gbps,
                           duration_ns=duration_ns,
                           tenants=args.tenants, seed=args.seed)
+    return cluster.run()
 
 
 def _point_trace_path(base: str, index: int) -> str:
@@ -210,32 +214,23 @@ def _point_trace_path(base: str, index: int) -> str:
 
 def cluster_main(argv: list[str]) -> int:
     """The ``cluster`` subcommand: one run over a ClusterSpec JSON."""
-    from repro.cluster import Cluster, ClusterSpec, default_cluster_spec
+    from repro.cluster import default_cluster_spec
     from repro.profiling import format_table
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment cluster",
         epilog=CORRECTNESS_EPILOG,
-        parents=[_run_options(duration_ms=2.0, seed=1234),
-                 _traffic_options(), _telemetry_options()],
+        parents=[_run_options(), _telemetry_options()],
         description="Serve one run over a declarative cluster spec: "
                     "open-loop by default, closed-loop windowed clients "
                     "with --closed-loop, mixed GET/PUT store traffic "
                     "when the spec has a store section.",
     )
-    parser.add_argument("--spec", metavar="cluster.json",
-                        help="path to a ClusterSpec JSON document")
     parser.add_argument("--example-spec", action="store_true",
                         help="print a sample spec JSON and exit")
     parser.add_argument("--with-store", action="store_true",
                         help="include a block-store section in the "
                              "--example-spec output")
-    parser.add_argument("--profile", action="store_true",
-                        help="attribute host wall-clock to subsystems "
-                             "and print the profile after the run")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run on the sanitized simulator (engine "
-                             "invariant checks; results are identical)")
     args = parser.parse_args(argv)
     if args.example_spec:
         print(default_cluster_spec(store=args.with_store).to_json())
@@ -245,18 +240,9 @@ def cluster_main(argv: list[str]) -> int:
               "required (or --example-spec for a starting point)",
               file=sys.stderr)
         return 2
-    duration_ns = args.duration_ms * 1e6
     try:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = ClusterSpec.from_json(handle.read())
-        spec = _telemetry_override(spec, bool(args.trace),
-                                   args.metrics_interval_ms)
-        cluster = Cluster.from_spec(
-            spec, sanitize=True if args.sanitize else None)
-        if args.profile:
-            cluster.enable_profiling()
-        _attach_clients(cluster, spec, args, duration_ns)
-        result = cluster.run()
+        result = _serve_spec(args, bool(args.trace),
+                             args.metrics_interval_ms)
     except (OSError, ReproError) as error:
         print(f"repro-experiment cluster: error: {error}", file=sys.stderr)
         return 2
@@ -298,56 +284,36 @@ def report_main(argv: list[str]) -> int:
     1 when the verdict is ``fail``, so the command doubles as a CI
     gate.
     """
-    from repro.cluster import Cluster, ClusterSpec
-
     parser = argparse.ArgumentParser(
         prog="repro-experiment report",
         epilog=CORRECTNESS_EPILOG,
-        parents=[_run_options(duration_ms=2.0, seed=1234),
-                 _traffic_options()],
+        parents=[_run_options()],
         description="Run one cluster spec with telemetry forced on and "
                     "print its run-health verdict: SLO burn-rate "
                     "alerts, scanner findings (saturation plateaus, "
                     "shed bursts, cache collapse, span gaps) and the "
                     "per-objective roll-up. Exits 1 on a fail verdict.",
     )
-    parser.add_argument("--spec", metavar="cluster.json",
-                        help="path to a ClusterSpec JSON document")
     parser.add_argument("--metrics-interval-ms", type=_positive_ms,
                         metavar="MS",
                         help="sampling period in simulated ms "
                              "(default: duration / 50)")
     parser.add_argument("--markdown", action="store_true",
                         help="render the health report as markdown")
-    parser.add_argument("--profile", action="store_true",
-                        help="also attribute host wall-clock to "
-                             "subsystems and print the profile")
     parser.add_argument("--trace", metavar="trace.json",
                         help="also export the trace (request spans, "
                              "metric counters, alert instants and — "
                              "with --profile — the host-time track)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run on the sanitized simulator (engine "
-                             "invariant checks; results are identical)")
     args = parser.parse_args(argv)
     if not args.spec:
         print("repro-experiment report: error: --spec cluster.json is "
               "required ('repro-experiment cluster --example-spec' "
               "prints a starting point)", file=sys.stderr)
         return 2
-    duration_ns = args.duration_ms * 1e6
     interval_ms = args.metrics_interval_ms \
         if args.metrics_interval_ms is not None else args.duration_ms / 50.0
     try:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec = ClusterSpec.from_json(handle.read())
-        spec = _telemetry_override(spec, True, interval_ms)
-        cluster = Cluster.from_spec(
-            spec, sanitize=True if args.sanitize else None)
-        if args.profile:
-            cluster.enable_profiling()
-        _attach_clients(cluster, spec, args, duration_ns)
-        result = cluster.run()
+        result = _serve_spec(args, True, interval_ms)
         health = result.health()
     except (OSError, ReproError) as error:
         print(f"repro-experiment report: error: {error}", file=sys.stderr)
@@ -365,28 +331,53 @@ def report_main(argv: list[str]) -> int:
     return 1 if health.verdict == "fail" else 0
 
 
-def sweep_main(argv: list[str]) -> int:
-    """The ``sweep`` subcommand: a whole grid from one SweepSpec JSON."""
+def sweep_main(argv: list[str], alias: str | None = None) -> int:
+    """The ``sweep`` subcommand: a whole grid from one SweepSpec JSON.
+
+    ``alias`` (a :data:`SWEEP_ALIASES` key) swaps in that module's
+    ``build_sweep()`` as the built-in spec, run when no ``--spec`` is
+    given, and its ``tabulate`` view for the printed and exported
+    rows.
+    """
     from repro.profiling import format_table
     from repro.sweep import SweepRunner, SweepSpec, example_sweep_spec
 
+    module = SWEEP_ALIASES.get(alias)
+    prog = f"repro-experiment {alias or 'sweep'}"
+    if module is None:
+        builtin_spec = example_sweep_spec
+        description = ("Expand a declarative SweepSpec document into its "
+                       "grid of cluster specs and run every point — "
+                       "inline, or fanned out over --workers processes "
+                       "with identical results.")
+    else:
+        builtin_spec = module.build_sweep
+        description = (f"{module.__doc__.splitlines()[0]} Runs the "
+                       f"built-in spec unless --spec replaces it; "
+                       f"--print-example-spec prints it to edit.")
     parser = argparse.ArgumentParser(
-        prog="repro-experiment sweep",
+        prog=prog,
         epilog=CORRECTNESS_EPILOG,
-        parents=[_sweep_options(), _telemetry_options()],
-        description="Expand a declarative SweepSpec document into its "
-                    "grid of cluster specs and run every point — "
-                    "inline, or fanned out over --workers processes "
-                    "with identical results.",
+        parents=[_telemetry_options()],
+        description=description,
     )
     parser.add_argument("--spec", metavar="sweep.json",
                         help="path to a SweepSpec JSON document")
     parser.add_argument("--example-spec", action="store_true",
-                        help="run the built-in example grid (load x "
-                             "policy over a two-device fleet)")
+                        help="run the built-in spec ('sweep': load x "
+                             "policy over a two-device fleet; the "
+                             "service/store/slo aliases run theirs by "
+                             "default)")
     parser.add_argument("--print-example-spec", action="store_true",
-                        help="print the built-in example SweepSpec "
-                             "JSON and exit")
+                        help="print the built-in SweepSpec JSON and "
+                             "exit")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes for the grid "
+                             "(0 = run every point inline)")
+    parser.add_argument("--csv", metavar="PATH",
+                        help="also write the result rows as CSV")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the result rows as JSON")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the spec's root_seed")
     parser.add_argument("--continue-on-error", action="store_true",
@@ -407,13 +398,14 @@ def sweep_main(argv: list[str]) -> int:
                         help="suppress per-point progress lines")
     args = parser.parse_args(argv)
     if args.print_example_spec:
-        print(example_sweep_spec().to_json())
+        print(builtin_spec().to_json())
         return 0
-    if bool(args.spec) == args.example_spec:
-        print("repro-experiment sweep: error: pass exactly one of "
-              "--spec sweep.json or --example-spec "
-              "(--print-example-spec dumps the example document)",
-              file=sys.stderr)
+    runs_builtin = args.example_spec or (module is not None
+                                         and not args.spec)
+    if bool(args.spec) == runs_builtin:
+        print(f"{prog}: error: pass exactly one of --spec sweep.json or "
+              f"--example-spec (--print-example-spec dumps the built-in "
+              f"document)", file=sys.stderr)
         return 2
 
     def progress(done: int, total: int, point) -> None:
@@ -426,7 +418,7 @@ def sweep_main(argv: list[str]) -> int:
             with open(args.spec, encoding="utf-8") as handle:
                 spec = SweepSpec.from_json(handle.read())
         else:
-            spec = example_sweep_spec()
+            spec = builtin_spec()
         if args.seed is not None:
             spec = dataclasses.replace(spec, root_seed=args.seed)
         spec = dataclasses.replace(spec, cluster=_telemetry_override(
@@ -440,21 +432,28 @@ def sweep_main(argv: list[str]) -> int:
             heartbeat_timeout_s=args.heartbeat_timeout_s)
         result = runner.run()
     except (OSError, ReproError) as error:
-        print(f"repro-experiment sweep: error: {error}", file=sys.stderr)
+        print(f"{prog}: error: {error}", file=sys.stderr)
         return 2
-    backend = ("sockets" if runner.distributed
-               else ("inline" if args.workers == 0 else "pool"))
-    print(f"== sweep: {len(result.points)} points "
-          f"(grid {spec.grid_size()}), root seed {spec.root_seed}, "
-          f"workers {args.workers}, backend {backend} ==")
+    if module is None:
+        backend = ("sockets" if runner.distributed
+                   else ("inline" if args.workers == 0 else "pool"))
+        print(f"== sweep: {len(result.points)} points "
+              f"(grid {spec.grid_size()}), root seed {spec.root_seed}, "
+              f"workers {args.workers}, backend {backend} ==")
+        table = result
+    else:
+        table = module.tabulate(result)
     if runner.dispatch_dead_workers:
-        print(f"repro-experiment sweep: warning: "
+        print(f"{prog}: warning: "
               f"{len(runner.dispatch_dead_workers)} worker(s) died "
               f"({', '.join(runner.dispatch_dead_workers)}); "
               f"{runner.dispatch_requeues} point(s) requeued",
               file=sys.stderr)
-    print(result.table())
-    _write_outputs(result, args)
+    print(table.table())
+    if args.csv:
+        table.to_csv(args.csv)
+    if args.json:
+        table.to_json(args.json)
     if args.trace:
         written = [run.export_trace(_point_trace_path(args.trace,
                                                       point.index))
@@ -463,7 +462,8 @@ def sweep_main(argv: list[str]) -> int:
               f"({_point_trace_path(args.trace, 0)} ...)")
     for point, run in result:
         if run.telemetry is not None and run.telemetry.dropped > 0:
-            _warn_dropped(run.telemetry, f"sweep point {point.index}")
+            _warn_dropped(run.telemetry,
+                          f"{alias or 'sweep'} point {point.index}")
     if result.failures:
         print(f"\n{len(result.failures)} point(s) failed:",
               file=sys.stderr)
@@ -608,201 +608,30 @@ def worker_main(argv: list[str]) -> int:
     return 0
 
 
-def service_main(argv: list[str]) -> int:
-    """The ``service`` subcommand: parameterized service-scaling sweep."""
-    from repro.experiments.service_scaling import (
-        DEFAULT_POLICIES,
-        MIXES,
-        run_sweep,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiment service",
-        epilog=CORRECTNESS_EPILOG,
-        parents=[_run_options(duration_ms=2.0, seed=29),
-                 _sweep_options()],
-        description="Sweep the compression offload service "
-                    "(offered load x fleet mix x dispatch policy).",
-    )
-    parser.add_argument("--load-gbps", type=float, nargs="+",
-                        default=[8.0, 24.0, 48.0],
-                        help="offered load points in GB/s")
-    parser.add_argument("--policy", nargs="+", default=list(DEFAULT_POLICIES),
-                        choices=list(DEFAULT_POLICIES),
-                        help="dispatch policies to compare")
-    parser.add_argument("--mix", nargs="+", default=["mixed"],
-                        choices=sorted(MIXES),
-                        help="fleet mixes to sweep")
-    parser.add_argument("--no-spill", action="store_true",
-                        help="disable the CPU-software spill device")
-    args = parser.parse_args(argv)
-    try:
-        result = run_sweep(
-            loads_gbps=tuple(args.load_gbps),
-            policies=tuple(args.policy),
-            mixes=tuple(args.mix),
-            duration_ns=args.duration_ms * 1e6,
-            tenants=args.tenants,
-            seed=args.seed,
-            spill=not args.no_spill,
-            workers=args.workers,
-        )
-    except ReproError as error:
-        print(f"repro-experiment service: error: {error}", file=sys.stderr)
-        return 2
-    print(result.table())
-    _write_outputs(result, args)
-    return 0
-
-
-def store_main(argv: list[str]) -> int:
-    """The ``store`` subcommand: block-store read/write/cache sweep."""
-    from repro.experiments.store_scaling import DEFAULT_POLICIES, run_sweep
-    from repro.service.policy import POLICIES
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiment store",
-        epilog=CORRECTNESS_EPILOG,
-        parents=[_run_options(duration_ms=4.0, seed=31),
-                 _sweep_options()],
-        description="Sweep the compressed block store "
-                    "(read fraction x cache size x dispatch policy).",
-    )
-    parser.add_argument("--read-fraction", type=float, nargs="+",
-                        default=[0.5, 0.9],
-                        help="fraction of operations that are reads")
-    parser.add_argument("--cache-blocks", type=int, nargs="+",
-                        default=[0, 64, 256],
-                        help="decompressed-block cache sizes to sweep")
-    parser.add_argument("--policy", nargs="+",
-                        default=list(DEFAULT_POLICIES),
-                        choices=sorted(POLICIES),
-                        help="dispatch policies to compare")
-    parser.add_argument("--load-gbps", type=float, default=36.0,
-                        help="offered load in GB/s")
-    parser.add_argument("--blocks", type=int, default=512,
-                        help="logical block space size")
-    parser.add_argument("--block-kib", type=int, default=64,
-                        help="logical block size in KiB")
-    parser.add_argument("--zipf-theta", type=float, default=0.99,
-                        help="key-popularity skew (YCSB default 0.99)")
-    parser.add_argument("--no-spill", action="store_true",
-                        help="disable the CPU-software spill device")
-    args = parser.parse_args(argv)
-    try:
-        result = run_sweep(
-            read_fractions=tuple(args.read_fraction),
-            cache_blocks=tuple(args.cache_blocks),
-            policies=tuple(args.policy),
-            offered_gbps=args.load_gbps,
-            duration_ns=args.duration_ms * 1e6,
-            blocks=args.blocks,
-            block_bytes=args.block_kib * 1024,
-            tenants=args.tenants,
-            zipf_theta=args.zipf_theta,
-            seed=args.seed,
-            spill=not args.no_spill,
-            workers=args.workers,
-        )
-    except ReproError as error:
-        print(f"repro-experiment store: error: {error}", file=sys.stderr)
-        return 2
-    print(result.table())
-    _write_outputs(result, args)
-    return 0
-
-
-def slo_main(argv: list[str]) -> int:
-    """The ``slo`` subcommand: SLO-degradation (brown-out) sweep."""
-    from repro.experiments.slo_degradation import (
-        DEFAULT_POLICIES,
-        SLO_MIXES,
-        run_sweep,
-    )
-    from repro.service.policy import POLICIES
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiment slo",
-        epilog=CORRECTNESS_EPILOG,
-        parents=[_run_options(duration_ms=3.0, seed=11),
-                 _sweep_options()],
-        description="Sweep SLO-class deadline-miss rates under a "
-                    "mid-run device brown-out "
-                    "(brown-out timing x SLO mix x policy).",
-    )
-    parser.add_argument("--brownout-at", type=float, nargs="+",
-                        default=[0.33],
-                        help="brown-out instants as fractions of the "
-                             "stream duration (a healthy baseline run "
-                             "is always included)")
-    parser.add_argument("--speed-factor", type=float, default=0.15,
-                        help="derated fraction of nominal device speed")
-    parser.add_argument("--device", default="qat8970",
-                        help="fleet device to brown out")
-    parser.add_argument("--mix", nargs="+", default=["fg-heavy"],
-                        choices=sorted(SLO_MIXES),
-                        help="SLO mixes (interactive/batch blends)")
-    parser.add_argument("--policy", nargs="+",
-                        default=list(DEFAULT_POLICIES),
-                        choices=sorted(POLICIES),
-                        help="dispatch policies to compare")
-    parser.add_argument("--load-gbps", type=float, default=40.0,
-                        help="offered load in GB/s")
-    parser.add_argument("--queue-limit", type=int, default=6,
-                        help="per-device queue depth (shallow queues "
-                             "push backpressure into the scheduler)")
-    parser.add_argument("--spill", action="store_true",
-                        help="add the CPU-software spill device")
-    args = parser.parse_args(argv)
-    try:
-        result = run_sweep(
-            brownout_fracs=(None, *args.brownout_at),
-            mixes=tuple(args.mix),
-            policies=tuple(args.policy),
-            offered_gbps=args.load_gbps,
-            duration_ns=args.duration_ms * 1e6,
-            speed_factor=args.speed_factor,
-            device=args.device,
-            tenants=args.tenants,
-            queue_limit=args.queue_limit,
-            seed=args.seed,
-            spill=args.spill,
-            workers=args.workers,
-        )
-    except ReproError as error:
-        print(f"repro-experiment slo: error: {error}", file=sys.stderr)
-        return 2
-    print(result.table())
-    _write_outputs(result, args)
-    return 0
+#: Subcommand name -> entry point; the serving sweeps are aliases of
+#: ``sweep`` with their own built-in spec and row view.
+SUBCOMMANDS = {
+    "cluster": cluster_main,
+    "report": report_main,
+    "sweep": sweep_main,
+    "federation": federation_main,
+    "worker": worker_main,
+    **{alias: functools.partial(sweep_main, alias=alias)
+       for alias in SWEEP_ALIASES},
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "cluster":
-        return cluster_main(argv[1:])
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "federation":
-        return federation_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return worker_main(argv[1:])
-    if argv and argv[0] == "service":
-        return service_main(argv[1:])
-    if argv and argv[0] == "store":
-        return store_main(argv[1:])
-    if argv and argv[0] == "slo":
-        return slo_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         description="Reproduce figures/tables from the ASIC-CDPU paper.",
         epilog=CORRECTNESS_EPILOG,
     )
     parser.add_argument("names", nargs="*",
                         help="experiment ids (default: all), or the "
-                             "'cluster'/'report'/'sweep'/'federation'/"
-                             "'worker'/'service'/'store'/'slo' "
+                             f"{'/'.join(map(repr, SUBCOMMANDS))} "
                              "subcommands (see e.g. "
                              "'repro-experiment sweep --help')")
     parser.add_argument("--full", action="store_true",

@@ -10,9 +10,10 @@ latency separates the policies well before throughput does.
 
 The whole experiment is one declarative :class:`~repro.sweep.SweepSpec`
 (:func:`build_sweep`) — a base cluster plus mix/load/policy axes —
-executed through :class:`~repro.sweep.SweepRunner` (``workers=N``
-fans the grid over a process pool); this module only builds the spec
-and re-labels the unified rows.
+executed through :class:`~repro.sweep.SweepRunner`; this module only
+builds the spec and tabulates the runs (:func:`tabulate`).
+``repro-experiment service`` runs the same spec on the sweep driver
+(``--print-example-spec`` prints it, ``--spec`` replaces it).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from repro.cluster import ClusterSpec, DeviceSpec, FleetSpec
 from repro.errors import ServiceError
 from repro.experiments.common import ExperimentResult, register
-from repro.sweep import AxisPoint, SweepAxis, SweepRunner, SweepSpec, \
-    WorkloadSpec
+from repro.sweep import AxisPoint, SweepAxis, SweepResult, SweepSpec, \
+    WorkloadSpec, run_sweep_spec
 
 DEFAULT_POLICIES = ("static", "round-robin", "shortest-queue", "cost-model")
 
@@ -54,7 +55,7 @@ def mix_axis(mixes: tuple[str, ...]) -> SweepAxis:
         for mix_name in mixes))
 
 
-def build_sweep(loads_gbps: tuple[float, ...],
+def build_sweep(loads_gbps: tuple[float, ...] = (8.0, 24.0, 48.0),
                 policies: tuple[str, ...] = DEFAULT_POLICIES,
                 mixes: tuple[str, ...] = ("mixed",),
                 duration_ns: float = 2e6,
@@ -86,19 +87,9 @@ def build_sweep(loads_gbps: tuple[float, ...],
     )
 
 
-def run_sweep(loads_gbps: tuple[float, ...],
-              policies: tuple[str, ...] = DEFAULT_POLICIES,
-              mixes: tuple[str, ...] = ("mixed",),
-              duration_ns: float = 2e6,
-              tenants: int = 4,
-              seed: int = 29,
-              spill: bool = True,
-              workers: int = 0) -> ExperimentResult:
-    """Run the full cross product and tabulate per-run service reports."""
-    spec = build_sweep(loads_gbps=loads_gbps, policies=policies,
-                       mixes=mixes, duration_ns=duration_ns,
-                       tenants=tenants, seed=seed, spill=spill)
-    sweep = SweepRunner(spec, workers=workers).run()
+def tabulate(sweep: SweepResult) -> ExperimentResult:
+    """Per-run service reports as the experiment's table."""
+    spill = sweep.spec.cluster.fleet.spill is not None
     result = ExperimentResult(
         experiment_id="service_scaling",
         title="Offload service: goodput/latency by load, mix and policy",
@@ -108,9 +99,7 @@ def run_sweep(loads_gbps: tuple[float, ...],
     for point, run in sweep:
         report = run.service
         result.rows.append({
-            "mix": point.coords["mix"],
-            "offered_gbps": point.coords["offered_gbps"],
-            "policy": point.coords["policy"],
+            **point.coords,
             "completed_gbps": report.completed_gbps,
             "p50_us": report.p50_us,
             "p99_us": report.p99_us,
@@ -123,7 +112,7 @@ def run_sweep(loads_gbps: tuple[float, ...],
 @register("service_scaling")
 def run(quick: bool = True) -> ExperimentResult:
     if quick:
-        return run_sweep(loads_gbps=(8.0, 24.0, 48.0),
-                         mixes=("mixed",), duration_ns=1.5e6)
-    return run_sweep(loads_gbps=(4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0),
-                     mixes=("mixed", "asic"), duration_ns=10e6)
+        return tabulate(run_sweep_spec(build_sweep(duration_ns=1.5e6)))
+    return tabulate(run_sweep_spec(build_sweep(
+        loads_gbps=(4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0),
+        mixes=("mixed", "asic"), duration_ns=10e6)))

@@ -13,8 +13,11 @@ The whole experiment is one declarative :class:`~repro.sweep.SweepSpec`
 (:func:`build_sweep`): the brown-out axis overrides each point's
 ``reconfig`` schedule with a :class:`~repro.cluster.ReconfigEvent`,
 the mix axis overrides ``slo_mix``, and
-:class:`~repro.sweep.SweepRunner` executes the grid (``workers=N``
-for a process pool).
+:class:`~repro.sweep.SweepRunner` executes the grid; :func:`tabulate`
+turns the runs into per-class miss-rate rows.  ``repro-experiment
+slo`` runs the same spec on the sweep driver; brown-out times are
+absolute ``at_ns`` values there, and one at or past the run horizon is
+rejected rather than silently reproducing the healthy baseline.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from repro.errors import ServiceError
 from repro.experiments.common import ExperimentResult, register
 from repro.experiments.service_scaling import MIXES, SPILL
 from repro.service import SloClass
-from repro.sweep import AxisPoint, SweepAxis, SweepRunner, SweepSpec, \
-    WorkloadSpec
+from repro.sweep import AxisPoint, SweepAxis, SweepResult, SweepSpec, \
+    WorkloadSpec, run_sweep_spec
 
 DEFAULT_POLICIES = ("cost-model", "deadline")
 
@@ -102,9 +105,11 @@ def build_sweep(brownout_fracs: tuple[float | None, ...] = (None, 0.33),
                 spill: bool = False) -> SweepSpec:
     """The full cross product as one declarative sweep description.
 
-    Device queues are kept shallow (``queue_limit``) so backpressure
-    reaches the scheduler, where dispatch order and shedding policy
-    differ between the schedulers under test.
+    ``brownout_fracs`` entries are fractions of the stream duration at
+    which ``device`` derates to ``speed_factor`` (``None`` = healthy
+    baseline).  Device queues are kept shallow (``queue_limit``) so
+    backpressure reaches the scheduler, where dispatch order and
+    shedding policy differ between the schedulers under test.
     """
     if not 0.0 < speed_factor <= 1.0:
         raise ServiceError(
@@ -135,45 +140,37 @@ def build_sweep(brownout_fracs: tuple[float | None, ...] = (None, 0.33),
     )
 
 
-def run_sweep(brownout_fracs: tuple[float | None, ...] = (None, 0.33),
-              mixes: tuple[str, ...] = ("fg-heavy",),
-              policies: tuple[str, ...] = DEFAULT_POLICIES,
-              offered_gbps: float = 40.0,
-              duration_ns: float = 3e6,
-              speed_factor: float = 0.15,
-              device: str = "qat8970",
-              tenants: int = 4,
-              queue_limit: int = 6,
-              seed: int = 11,
-              spill: bool = False,
-              workers: int = 0) -> ExperimentResult:
-    """Run the full cross product and tabulate per-class miss rates.
+def _brownout_clause(spec: SweepSpec) -> str:
+    """The notes' brown-out clause, from the first brown-out event the
+    base document or any axis point schedules."""
+    events = list(spec.cluster.reconfig) + [
+        ReconfigEvent.from_dict(event)
+        for axis in spec.axes for point in axis.points
+        for event in point.overrides.get("reconfig", ())]
+    for event in events:
+        if event.action == "brown-out":
+            return (f"{event.device} derated to {event.speed_factor:g}x "
+                    f"mid-run")
+    return "no brown-out scheduled"
 
-    ``brownout_fracs`` entries are fractions of the stream duration at
-    which ``device`` derates to ``speed_factor`` (``None`` = healthy
-    baseline).
-    """
-    spec = build_sweep(brownout_fracs=brownout_fracs, mixes=mixes,
-                       policies=policies, offered_gbps=offered_gbps,
-                       duration_ns=duration_ns, speed_factor=speed_factor,
-                       device=device, tenants=tenants,
-                       queue_limit=queue_limit, seed=seed, spill=spill)
-    sweep = SweepRunner(spec, workers=workers).run()
+
+def tabulate(sweep: SweepResult) -> ExperimentResult:
+    """Per-class miss rates of every run as the experiment's table."""
+    spec = sweep.spec
     result = ExperimentResult(
         experiment_id="slo_degradation",
         title="SLO classes under brown-out: miss rates by timing, "
               "mix and policy",
-        notes=f"{device} derated to {speed_factor:g}x mid-run; "
-              f"open-loop {offered_gbps:g} GB/s"
-              + ("; spill device: cpu-snappy" if spill
+        notes=f"{_brownout_clause(spec)}; "
+              f"open-loop {spec.workload.offered_gbps:g} GB/s"
+              + ("; spill device: cpu-snappy"
+                 if spec.cluster.fleet.spill is not None
                  else "; no spill device"),
     )
     for point, run in sweep:
         report = run.service
         result.rows.append({
-            "mix": point.coords["mix"],
-            "brownout_at": point.coords["brownout_at"],
-            "policy": point.coords["policy"],
+            **point.coords,
             "completed_gbps": report.completed_gbps,
             "fg_miss_rate": report.slo_miss_rate("interactive"),
             "bg_miss_rate": report.slo_miss_rate("batch"),
@@ -188,7 +185,7 @@ def run_sweep(brownout_fracs: tuple[float | None, ...] = (None, 0.33),
 @register("slo_degradation")
 def run(quick: bool = True) -> ExperimentResult:
     if quick:
-        return run_sweep()
-    return run_sweep(brownout_fracs=(None, 0.1, 0.33, 0.66),
-                     mixes=("fg-light", "fg-heavy"),
-                     duration_ns=10e6)
+        return tabulate(run_sweep_spec(build_sweep()))
+    return tabulate(run_sweep_spec(build_sweep(
+        brownout_fracs=(None, 0.1, 0.33, 0.66),
+        mixes=("fg-light", "fg-heavy"), duration_ns=10e6)))

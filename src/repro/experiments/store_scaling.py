@@ -12,7 +12,9 @@ budgets disagree about the fastest device — Figure 12's two panels).
 
 The whole experiment is one declarative :class:`~repro.sweep.SweepSpec`
 (:func:`build_sweep`) with a ``store`` section and mixed GET/PUT
-workload, executed through :class:`~repro.sweep.SweepRunner`.
+workload, executed through :class:`~repro.sweep.SweepRunner` and
+tabulated by :func:`tabulate`.  ``repro-experiment store`` runs the
+same spec on the sweep driver.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from repro.errors import ServiceError
 from repro.experiments.common import ExperimentResult, register
 from repro.experiments.service_scaling import MIXES, SPILL
 from repro.store import StoreReport
-from repro.sweep import SweepAxis, SweepRunner, SweepSpec, WorkloadSpec
+from repro.sweep import SweepAxis, SweepResult, SweepSpec, WorkloadSpec, \
+    run_sweep_spec
 
 DEFAULT_POLICIES = ("round-robin", "cost-model")
 
@@ -83,39 +86,25 @@ def build_sweep(read_fractions: tuple[float, ...] = (0.5, 0.9),
     )
 
 
-def run_sweep(read_fractions: tuple[float, ...] = (0.5, 0.9),
-              cache_blocks: tuple[int, ...] = (0, 64, 256),
-              policies: tuple[str, ...] = DEFAULT_POLICIES,
-              offered_gbps: float = 36.0,
-              duration_ns: float = 4e6,
-              blocks: int = 512,
-              block_bytes: int = 65536,
-              tenants: int = 4,
-              zipf_theta: float = 0.99,
-              seed: int = 31,
-              spill: bool = True,
-              workers: int = 0) -> ExperimentResult:
-    """Run the full cross product and tabulate per-run store reports."""
-    spec = build_sweep(read_fractions=read_fractions,
-                       cache_blocks=cache_blocks, policies=policies,
-                       offered_gbps=offered_gbps, duration_ns=duration_ns,
-                       blocks=blocks, block_bytes=block_bytes,
-                       tenants=tenants, zipf_theta=zipf_theta,
-                       seed=seed, spill=spill)
-    sweep = SweepRunner(spec, workers=workers).run()
+def tabulate(sweep: SweepResult) -> ExperimentResult:
+    """Per-run store reports as the experiment's table."""
+    spec = sweep.spec
+    block_bytes = spec.cluster.store.block_bytes
     result = ExperimentResult(
         experiment_id="store_scaling",
         title="Block store: read latency by read mix, cache size and policy",
-        notes=f"open-loop Poisson GET/PUT at {offered_gbps:g} GB/s over "
-              f"{blocks} x {block_bytes // 1024} KiB Zipfian blocks; "
-              + ("spill device: cpu-snappy" if spill else "no spill device"),
+        notes=f"open-loop Poisson GET/PUT at "
+              f"{spec.workload.offered_gbps:g} GB/s over "
+              f"{spec.workload.blocks} x {block_bytes // 1024} KiB "
+              f"Zipfian blocks; "
+              + ("spill device: cpu-snappy"
+                 if spec.cluster.fleet.spill is not None
+                 else "no spill device"),
     )
     for point, run in sweep:
         report = run.store
         result.rows.append({
-            "read_frac": point.coords["read_frac"],
-            "cache_blocks": point.coords["cache_blocks"],
-            "policy": point.coords["policy"],
+            **point.coords,
             "hit_rate": report.hit_rate,
             "ghost_rate": report.ghost_hit_rate,
             "read_gbps": report.read_gbps,
@@ -132,9 +121,9 @@ def run_sweep(read_fractions: tuple[float, ...] = (0.5, 0.9),
 @register("store_scaling")
 def run(quick: bool = True) -> ExperimentResult:
     if quick:
-        return run_sweep()
-    return run_sweep(read_fractions=(0.1, 0.3, 0.5, 0.7, 0.9),
-                     cache_blocks=(0, 32, 64, 128, 256, 512),
-                     policies=("static", "round-robin", "shortest-queue",
-                               "cost-model"),
-                     duration_ns=10e6)
+        return tabulate(run_sweep_spec(build_sweep()))
+    return tabulate(run_sweep_spec(build_sweep(
+        read_fractions=(0.1, 0.3, 0.5, 0.7, 0.9),
+        cache_blocks=(0, 32, 64, 128, 256, 512),
+        policies=("static", "round-robin", "shortest-queue", "cost-model"),
+        duration_ns=10e6)))

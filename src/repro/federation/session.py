@@ -95,7 +95,9 @@ class Federation:
         horizon = _run_loop(
             self, [driver],
             [cluster.scheduler for _, cluster in self.clusters],
-            self._register_gauges)
+            self._register_gauges,
+            reconfig=tuple(event for member in self.spec.members
+                           for event in member.cluster.reconfig))
         return self._report(driver, horizon)
 
     # -- telemetry -------------------------------------------------------------

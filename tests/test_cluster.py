@@ -513,11 +513,19 @@ class TestReviewRegressions:
                                              duration_ns=1e5,
                                              block_bytes=8192))
 
-    def test_cli_sweeps_report_spec_errors_cleanly(self, capsys):
+    def test_cli_sweeps_report_spec_errors_cleanly(self, capsys, tmp_path):
         # Spec validation errors raised inside the cluster-based sweeps
         # must come out as clean exit-2 messages, not tracebacks.
+        from repro.experiments import slo_degradation, store_scaling
         from repro.experiments.cli import main
-        assert main(["store", "--cache-blocks", "-1"]) == 2
+        store_spec = tmp_path / "store.json"
+        store_spec.write_text(
+            store_scaling.build_sweep(cache_blocks=(64, -1)).to_json())
+        assert main(["store", "--spec", str(store_spec)]) == 2
         assert "cache size" in capsys.readouterr().err
-        assert main(["slo", "--queue-limit", "0"]) == 2
+        document = slo_degradation.build_sweep().to_dict()
+        document["cluster"]["fleet"]["queue_limit"] = 0
+        slo_spec = tmp_path / "slo.json"
+        slo_spec.write_text(json.dumps(document))
+        assert main(["slo", "--spec", str(slo_spec)]) == 2
         assert "queue limit" in capsys.readouterr().err

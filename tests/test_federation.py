@@ -20,10 +20,12 @@ from repro.cluster import (
     ClusterSpec,
     DeviceSpec,
     FleetSpec,
+    ReconfigEvent,
     StoreSpec,
     TelemetrySpec,
 )
 from repro.errors import (
+    ClusterError,
     DispatchError,
     FederationError,
     FederationSpecError,
@@ -376,6 +378,38 @@ def test_metrics_interval_past_horizon_rejected(build):
         session.run()
     # The check runs before the session is marked ran.
     with pytest.raises(TelemetryError, match="exceeds the run horizon"):
+        session.run()
+
+
+#: A power cap at the 2e5 ns horizon: the run ends before it acts.
+LATE_POWER_CAP = (ReconfigEvent(at_ns=2e5, action="power-cap",
+                                budget_w=50.0),)
+
+
+def _late_reconfig_cluster() -> Cluster:
+    cluster = Cluster.from_spec(
+        ClusterSpec(fleet=CHEAP_FLEET, reconfig=LATE_POWER_CAP))
+    cluster.open_loop(offered_gbps=6.0, duration_ns=2e5, tenants=4)
+    return cluster
+
+
+def _late_reconfig_federation() -> Federation:
+    spec = cheap_federation()
+    alpha, beta = spec.members
+    beta = dataclasses.replace(beta, cluster=dataclasses.replace(
+        beta.cluster, reconfig=LATE_POWER_CAP))
+    return Federation.from_spec(
+        dataclasses.replace(spec, members=(alpha, beta)))
+
+
+@pytest.mark.parametrize("build", [_late_reconfig_cluster,
+                                   _late_reconfig_federation],
+                         ids=["cluster", "federation"])
+def test_reconfig_event_past_horizon_rejected(build):
+    # An event the run never reaches would leave its rows identical to
+    # the unreconfigured baseline; it must fail loudly instead.
+    session = build()
+    with pytest.raises(ClusterError, match="past the run horizon"):
         session.run()
 
 

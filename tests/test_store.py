@@ -410,9 +410,11 @@ class TestMixedFleetIntegration:
         assert placement_shift(report) > 0.05
 
     def test_store_scaling_quick_experiment(self, fleet):
-        from repro.experiments.store_scaling import run_sweep
-        result = run_sweep(read_fractions=(0.8,), cache_blocks=(0, 256),
-                           policies=("cost-model",), duration_ns=2e6)
+        from repro.experiments.store_scaling import build_sweep, tabulate
+        from repro.sweep import run_sweep_spec
+        result = tabulate(run_sweep_spec(build_sweep(
+            read_fractions=(0.8,), cache_blocks=(0, 256),
+            policies=("cost-model",), duration_ns=2e6)))
         uncached = result.value("read_p99_us", cache_blocks=0)
         cached = result.value("read_p99_us", cache_blocks=256)
         assert cached < uncached

@@ -515,6 +515,21 @@ class TestExperimentBuilders:
         with pytest.raises(ServiceError, match="unknown SLO mix 'bogus'"):
             slo(mixes=("bogus",))
 
+    def test_service_alias_spec_round_trip_is_byte_identical(
+            self, tmp_path, capsys):
+        # The printed built-in spec, run back through --spec, exports
+        # the same table as the alias run at its defaults.
+        from repro.experiments.cli import main
+        spec_path = tmp_path / "service.json"
+        assert main(["service", "--print-example-spec"]) == 0
+        spec_path.write_text(capsys.readouterr().out)
+        assert main(["service", "--quiet", "--json",
+                     str(tmp_path / "default.json")]) == 0
+        assert main(["service", "--quiet", "--spec", str(spec_path),
+                     "--json", str(tmp_path / "edited.json")]) == 0
+        assert (tmp_path / "edited.json").read_bytes() == \
+            (tmp_path / "default.json").read_bytes()
+
     def test_experiment_result_exports(self, tmp_path):
         from repro.experiments.common import ExperimentResult
         result = ExperimentResult(experiment_id="x", title="t")
